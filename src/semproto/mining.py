@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .asd import ASD, entity_ids, merge, similarity, subsumes
+import numpy as np
+
+# ``similarity`` is the scalar specification that SimilarityRanker's scores
+# equal bit for bit; it stays importable here as ``mining.similarity``.
+from .asd import ASD, merge, similarity, subsumes  # noqa: F401
 from .errors import ConfigError, InseparableDataError
 
 
@@ -41,7 +45,6 @@ class ClassClusterDescription:
 
 @dataclass(frozen=True)
 class MiningConfig:
-    resort_on_accept_only: bool = True
     dedupe_seeds: bool = True
     max_seeds: int | None = None
     parallelism: int = 1
@@ -73,13 +76,13 @@ class NegativeAttributeIndex:
         self._all = (1 << len(negatives)) - 1
         self._attr_bits: dict[int, int] = {}
         for pos, asd in enumerate(self._asds):
-            for attr in entity_ids(asd.attribute_union):
+            for attr in asd.attribute_ids:
                 self._attr_bits[attr] = self._attr_bits.get(attr, 0) | (1 << pos)
 
     def first_described(self, candidate: ASD) -> str | None:
         """Id of some negative the candidate describes, or None."""
         survivors = self._all
-        for attr in entity_ids(candidate.attribute_union):
+        for attr in candidate.attribute_ids:
             survivors &= self._attr_bits.get(attr, 0)
             if not survivors:
                 return None
@@ -110,37 +113,126 @@ def check_ccd(candidate: ASD, negatives: Sequence[Sample],
 
 
 # ----------------------------------------------------------------------------
+# similarity ordering
+# ----------------------------------------------------------------------------
+
+_WORD = (1 << 64) - 1
+
+
+class SimilarityRanker:
+    """Orders one class's positives by similarity to a reference description.
+
+    The distinct entities of the positives are interned once as rows of
+    ``uint64`` words (one word per 64 attributes), and each positive is kept
+    as a padded column of indices into them.  For a reference description
+    one R x U Jaccard table (R reference entities, U interned entities)
+    scores every positive at once.  The per-entity best matches are added
+    one at a time, in entity order, from 0.0, exactly as ``asd.similarity``
+    adds them, so each score equals ``similarity(reference, positive)`` bit
+    for bit; ``np.sum`` would add in another order.
+
+    The ranking of all positives (descending score, then ascending id) is
+    memoized per distinct reference, so re-sorting a trace's remaining
+    positives only filters it.  References are merges of positives, so they
+    are never wider than the interned entities.
+    """
+
+    def __init__(self, positives: Sequence[tuple[str, ASD]]):
+        # object dtype: ids compare as Python strings
+        self.ids = np.array([sid for sid, _ in positives], dtype=object)
+        self.asds = [asd for _, asd in positives]
+        interned: dict[int, int] = {}
+        rows = []
+        for asd in self.asds:
+            if not asd.entities:
+                raise ValueError("similarity is undefined for an empty description")
+            rows.append([interned.setdefault(e, len(interned)) for e in asd.entities])
+        width = max((e.bit_length() for e in interned), default=0)
+        self._words = max(1, -(-width // 64))
+        self._entities = self._pack(tuple(interned))
+        # _slots[k, p] is the k-th entity of positive p.  Padding points one
+        # past the interned entities, at a column of the Jaccard table that
+        # stays 0.0: it never wins a maximum and adding it leaves a sum
+        # unchanged.
+        self._slots = np.full((max(map(len, rows), default=0), len(rows)),
+                              len(interned), dtype=np.intp)
+        for p, entities in enumerate(rows):
+            self._slots[:len(entities), p] = entities
+        self._counts = np.array([len(r) for r in rows], dtype=np.float64)
+        # Stable sorting of this id order by score breaks ties by ascending id.
+        self._by_id = np.argsort(self.ids, kind="stable")
+        self._memo: dict[ASD, np.ndarray] = {}
+
+    def _pack(self, entities: Sequence[int]) -> np.ndarray:
+        words = [[(e >> (64 * w)) & _WORD for w in range(self._words)] for e in entities]
+        return np.array(words, dtype=np.uint64).reshape(len(entities), self._words)
+
+    def scores(self, reference: ASD) -> np.ndarray:
+        """``similarity(reference, p)`` for every positive p, in input order."""
+        if not reference.entities:
+            raise ValueError("similarity is undefined for an empty description")
+        if reference.attribute_union >> (64 * self._words):
+            raise ValueError("reference is wider than the interned entities")
+        ref = self._pack(reference.entities)[:, None, :]
+        inter = np.bitwise_count(ref & self._entities).sum(axis=2)
+        union = np.bitwise_count(ref | self._entities).sum(axis=2)
+        table = np.zeros((len(reference.entities), len(self._entities) + 1))
+        # Two empty entities score 1.0, as in asd.jaccard.
+        table[:, :-1] = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
+        forward = np.zeros(len(self.asds))
+        for best in table[:, self._slots].max(axis=1):  # per reference entity
+            forward += best
+        backward = np.zeros(len(self.asds))
+        for best in table.max(axis=0)[self._slots]:     # per positive entity
+            backward += best
+        return (0.5 * (forward / len(reference.entities))
+                + 0.5 * (backward / self._counts))
+
+    def ranking(self, reference: ASD) -> np.ndarray:
+        """Positions of all positives, most similar first, ties by ascending id."""
+        order = self._memo.get(reference)
+        if order is None:
+            by_id = self._by_id
+            order = by_id[np.argsort(-self.scores(reference)[by_id], kind="stable")]
+            order = self._memo[reference] = order.astype(np.int32)
+        return order
+
+
+def _sort_by_similarity(remaining: np.ndarray, reference: ASD,
+                        ranker: SimilarityRanker) -> np.ndarray:
+    """Positions flagged in ``remaining``, by descending similarity, then id."""
+    order = ranker.ranking(reference)
+    return order[remaining[order]]
+
+
+# ----------------------------------------------------------------------------
 # seed traces
 # ----------------------------------------------------------------------------
 
-def _sort_by_similarity(items: list[tuple[str, ASD]],
-                        reference: ASD) -> list[tuple[str, ASD]]:
-    # Descending similarity, ties by ascending sample id.
-    return sorted(items, key=lambda item: (-similarity(reference, item[1]), item[0]))
+def _trace(seed_asd: ASD, remaining: np.ndarray, index: NegativeAttributeIndex,
+           ranker: SimilarityRanker) -> ASD:
+    """Run one seed's greedy generalization and return its final description.
 
-
-def _trace(seed_asd: ASD, others: list[tuple[str, ASD]],
-           index: NegativeAttributeIndex, resort_on_accept_only: bool) -> ASD:
-    """Run one seed's greedy generalization and return its final description."""
+    ``remaining`` flags, by ranker position, the positives the seed visits;
+    the trace clears the flags of those it has visited.
+    """
     description = seed_asd
-    remaining = _sort_by_similarity(others, description)
-    while remaining:
-        _, candidate = remaining.pop(0)
+    queue = _sort_by_similarity(remaining, description, ranker)
+    visited = 0
+    while visited < len(queue):
+        candidate = ranker.asds[queue[visited]]
+        visited += 1
         if subsumes(description, candidate):
             # The merge of comparable descriptions is the general one, trimmed.
             generalized = description.trimmed
         else:
             generalized = merge(description, candidate)
-        if generalized != description:
-            if index.describes_none(generalized):
-                description = generalized
-                remaining = _sort_by_similarity(remaining, description)
-                continue
-        # Accepted no-ops and rejections leave the ordering untouched; only
-        # re-sort here when literal re-sorting is requested (same order, the
-        # similarity keys did not change).
-        if not resort_on_accept_only:
-            remaining = _sort_by_similarity(remaining, description)
+        # Accepted no-ops and rejections leave the ordering untouched.
+        if generalized != description and index.describes_none(generalized):
+            description = generalized
+            remaining[queue[:visited]] = False
+            queue = _sort_by_similarity(remaining, description, ranker)
+            visited = 0
     return description
 
 
@@ -149,8 +241,7 @@ _POOL_STATE: dict | None = None
 
 
 def _pool_init(positives: list[tuple[str, tuple[int, ...]]],
-               negatives: list[tuple[str, tuple[int, ...]]],
-               resort_on_accept_only: bool) -> None:
+               negatives: list[tuple[str, tuple[int, ...]]]) -> None:
     global _POOL_STATE
     samples = [(sid, ASD(entities)) for sid, entities in positives]
     index = NegativeAttributeIndex(
@@ -158,17 +249,15 @@ def _pool_init(positives: list[tuple[str, tuple[int, ...]]],
     _POOL_STATE = {
         "positives": samples,
         "index": index,
-        "resort_on_accept_only": resort_on_accept_only,
+        "ranker": SimilarityRanker(samples),
     }
 
 
 def _pool_trace(seed_id: str) -> tuple[int, ...]:
     assert _POOL_STATE is not None
-    positives = _POOL_STATE["positives"]
-    seed_asd = next(asd for sid, asd in positives if sid == seed_id)
-    others = [(sid, asd) for sid, asd in positives if sid != seed_id]
-    result = _trace(seed_asd, others, _POOL_STATE["index"],
-                    _POOL_STATE["resort_on_accept_only"])
+    ranker = _POOL_STATE["ranker"]
+    seed_asd = next(asd for sid, asd in _POOL_STATE["positives"] if sid == seed_id)
+    result = _trace(seed_asd, ranker.ids != seed_id, _POOL_STATE["index"], ranker)
     return result.entities
 
 
@@ -220,23 +309,16 @@ def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
     if config.parallelism > 1 and len(seeds) > 1:
         raw = _mine_parallel(seeds, positives, negatives, config)
     else:
-        raw = []
-        for seed in seeds:
-            others = [(p.id, p.asd) for p in positives if p.id != seed.id]
-            raw.append(_trace(seed.asd, others, index, config.resort_on_accept_only))
+        ranker = SimilarityRanker([(p.id, p.asd) for p in positives])
+        raw = [_trace(seed.asd, ranker.ids != seed.id, index, ranker)
+               for seed in seeds]
 
-    descriptions = sorted(set(raw), key=lambda a: a.sort_key)
+    # Every accepted merge passed the index check inside its trace; the one
+    # naive soundness scan runs in pipeline.run_pipeline.
     result = []
-    for asd in descriptions:
-        described = index.first_described(asd)
-        if described is not None:  # pragma: no cover - accepted merges are checked
-            raise RuntimeError(f"mined description describes negative {described!r}")
+    for asd in sorted(set(raw), key=lambda a: a.sort_key):
         coverage = frozenset(p.id for p in positives if subsumes(asd, p.asd))
         result.append(ClassClusterDescription(asd, label, coverage))
-    # Post-hoc soundness re-check with the naive scan, independent of the index.
-    for ccd in result:
-        if not check_ccd(ccd.asd, negatives):  # pragma: no cover - defensive
-            raise RuntimeError("index and naive negative checks disagree")
     return result
 
 
@@ -247,7 +329,7 @@ def _mine_parallel(seeds: Sequence[Sample], positives: Sequence[Sample],
     chunk = max(1, len(seeds) // (config.parallelism * 4))
     with ProcessPoolExecutor(
             max_workers=config.parallelism, initializer=_pool_init,
-            initargs=(pos_blob, neg_blob, config.resort_on_accept_only)) as pool:
+            initargs=(pos_blob, neg_blob)) as pool:
         entity_tuples = list(pool.map(_pool_trace, [s.id for s in seeds],
                                       chunksize=chunk))
     return [ASD(entities) for entities in entity_tuples]

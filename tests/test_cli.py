@@ -116,6 +116,35 @@ def test_explain_rejects_unknown_schema(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+# Pinned digests of the reports for a fixed generated scene set.  Any change
+# to mining order, selection, prototypes or rendering that alters a byte of
+# either report changes these; a refactor must leave them as they are.
+GOLDEN_JSON_SHA256 = "1b05fdf46c68dd980f2e1dec4193880c25b29f9b08b14cbb1ea3283368dd5e8e"
+GOLDEN_MD_SHA256 = "4e0270fe02583d8c1dd6a5359b4a7ef3c4a95b70a278abbc09db88ebdafd3383"
+
+
+def test_golden_reports_on_generated_scenes(tmp_path, monkeypatch, capsys):
+    from semproto import cli
+    from semproto.data import (GeneratorConfig, generate_clevr_hans3, write_dataset,
+                               write_ground_truth)
+
+    # relative paths and a fixed version: the report echoes both
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_version", lambda: "0.0.0")
+    dataset, rules = generate_clevr_hans3(GeneratorConfig(
+        samples_per_class=40, objects_min=3, objects_max=6, seed=11))
+    write_dataset(dataset, "scenes.jsonl")
+    write_ground_truth(rules, dataset.vocabulary, "scenes.rules.jsonl")
+    rc = main(["run", "--dataset", "scenes.jsonl", "--output", "report.json",
+               "--ground-truth", "scenes.rules.jsonl"])
+    assert rc == EXIT_OK
+    capsys.readouterr()
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("report.json", "report.md")}
+    assert digest == {"report.json": GOLDEN_JSON_SHA256,
+                      "report.md": GOLDEN_MD_SHA256}
+
+
 # ---------------------------------------------------------------------------
 # run options
 # ---------------------------------------------------------------------------

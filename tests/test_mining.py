@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,12 +17,15 @@ from semproto import (
     Vocabulary,
     check_ccd,
     greedy_cover,
+    merge,
     mine_ccds,
     oracle_coverage_opt,
     random_asds,
     select_ccds,
+    similarity,
     subsumes,
 )
+from semproto.mining import SimilarityRanker, _sort_by_similarity
 
 
 def mk_samples(vocab, label, named_asds):
@@ -158,15 +162,6 @@ def test_mined_rules_are_sound_and_complete():
         assert covered == {p.id for p in positives}
 
 
-def test_resort_flag_does_not_change_results():
-    for seed in range(15):
-        positives, negatives = random_instance(seed)
-        fast = mine_ccds(positives, negatives)
-        literal = mine_ccds(positives, negatives,
-                            config=MiningConfig(resort_on_accept_only=False))
-        assert fast == literal
-
-
 def test_seed_dedupe_does_not_change_results():
     v = Vocabulary()
     positives = mk_samples(v, "pos", [
@@ -196,6 +191,111 @@ def test_parallel_mining_matches_serial():
         parallel = mine_ccds(positives, negatives,
                              config=MiningConfig(parallelism=2))
         assert serial == parallel
+
+
+# ---------------------------------------------------------------------------
+# similarity ordering: the vectorized ranker against asd.similarity
+# ---------------------------------------------------------------------------
+
+@st.composite
+def ranker_inputs(draw):
+    """Positives and references over a vocabulary of 15, 64, 65 or 300 ids.
+
+    Attributes come from a small pool that always holds the widest id, so
+    entities overlap often and the top word of the bitsets is used.  Entities
+    may be empty.  The references are the positives, their merges (which may
+    hold the empty entity), the lone empty entity and single entities.
+    """
+    width = draw(st.sampled_from([15, 64, 65, 300]))
+    pool = sorted(draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=7))
+                  | {width - 1})
+    entity = st.frozensets(st.sampled_from(pool), max_size=4)
+    descriptions = st.lists(entity, min_size=1, max_size=4).map(ASD.from_id_sets)
+    asds = draw(st.lists(descriptions, min_size=1, max_size=9))
+    ids = draw(st.permutations([f"s{i:02d}" for i in range(len(asds))]))
+    positives = list(zip(ids, asds))
+    references = list(asds)
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(asds)), draw(st.sampled_from(asds))
+        references.append(merge(a, b))
+    references += [ASD((0,)), ASD((0, asds[0].entities[-1])),
+                   ASD((asds[-1].entities[0],))]
+    return positives, references
+
+
+@given(ranker_inputs())
+@settings(max_examples=300)
+def test_ranker_scores_equal_scalar_similarity(case):
+    positives, references = case
+    ranker = SimilarityRanker(positives)
+    # each reference twice: the second ranking comes from the memo
+    for reference in references + references:
+        scores = ranker.scores(reference)
+        expected = [similarity(reference, asd) for _, asd in positives]
+        assert scores.tolist() == expected
+        ranked = [positives[i] for i in ranker.ranking(reference)]
+        assert ranked == sorted(positives, key=lambda it: (-similarity(reference, it[1]),
+                                                           it[0]))
+
+
+@given(ranker_inputs(), st.data())
+@settings(max_examples=200)
+def test_sort_by_similarity_matches_scalar_sort(case, data):
+    positives, references = case
+    ranker = SimilarityRanker(positives)
+    for reference in references:
+        remaining = np.array(data.draw(st.lists(st.booleans(), min_size=len(positives),
+                                                max_size=len(positives))), dtype=bool)
+        items = [item for item, keep in zip(positives, remaining) if keep]
+        got = [positives[i] for i in _sort_by_similarity(remaining, reference, ranker)]
+        assert got == sorted(items, key=lambda it: (-similarity(reference, it[1]), it[0]))
+
+
+def test_ranker_rejects_empty_and_foreign_descriptions():
+    with pytest.raises(ValueError):
+        SimilarityRanker([("p", ASD(()))])
+    ranker = SimilarityRanker([("p", ASD.from_id_sets([[0, 1]]))])
+    with pytest.raises(ValueError):
+        ranker.scores(ASD(()))
+    with pytest.raises(ValueError):
+        ranker.scores(ASD.from_id_sets([[64]]))
+
+
+def scalar_mine(positives, negatives):
+    """The greedy traces with the scalar similarity sort, as a reference."""
+    def order(items, reference):
+        return sorted(items, key=lambda it: (-similarity(reference, it.asd), it.id))
+
+    seeds = {}  # lowest id per distinct description
+    for p in sorted(positives, key=lambda p: p.id):
+        seeds.setdefault(p.asd, p)
+    raw = set()
+    for seed in seeds.values():
+        description = seed.asd
+        remaining = order([p for p in positives if p.id != seed.id], description)
+        while remaining:
+            candidate = remaining.pop(0).asd
+            if subsumes(description, candidate):
+                generalized = description.trimmed
+            else:
+                generalized = merge(description, candidate)
+            if generalized != description and check_ccd(generalized, negatives):
+                description = generalized
+                remaining = order(remaining, description)
+        raw.add(description)
+    return sorted(raw, key=lambda a: a.sort_key)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([8, 70]))
+@settings(max_examples=60)
+def test_mining_matches_scalar_traces(seed, vocab_size):
+    stream = list(random_asds(seed, 18, max_entities=3, max_entity_size=3,
+                              vocab_size=vocab_size))
+    positives = [Sample(f"p{i:02d}", "pos", a) for i, a in enumerate(stream[:12])]
+    negatives = [Sample(f"n{i:02d}", "neg", a) for i, a in enumerate(stream[12:])
+                 if not any(subsumes(p.asd, a) for p in positives)]
+    assert [c.asd for c in mine_ccds(positives, negatives)] == scalar_mine(positives,
+                                                                           negatives)
 
 
 # ---------------------------------------------------------------------------
