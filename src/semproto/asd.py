@@ -179,11 +179,6 @@ class ASD:
         return mask
 
     @cached_property
-    def attribute_ids(self) -> tuple[int, ...]:
-        """Ascending ids of every attribute used by some entity."""
-        return entity_ids(self.attribute_union)
-
-    @cached_property
     def sort_key(self) -> tuple:
         """A total order over descriptions, used wherever output must be stable."""
         return (len(self.entities), tuple(entity_key(e) for e in self.entities))

@@ -20,7 +20,7 @@ from pathlib import Path
 from .data import (GeneratorConfig, convert_attribute_matrix, generate_clevr_hans3,
                    load_dataset, load_ground_truth, validate_dataset, write_dataset,
                    write_ground_truth)
-from .errors import ConfigError, DatasetValidationError, GenerationError, SemprotoError
+from .errors import DatasetValidationError, SemprotoError
 from .mining import MiningConfig
 from .pipeline import run_pipeline
 from .report import SCHEMA_VERSION, build_report, render_explanation, render_markdown, serialize_report
@@ -254,9 +254,6 @@ def main(argv: list[str] | None = None) -> int:
             where = exc.source or "input"
             print(f"{where}: {diagnostic}", file=sys.stderr)
         print(f"error: {len(exc.diagnostics)} validation error(s)", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ConfigError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SemprotoError as exc:
         print(f"error: {exc}", file=sys.stderr)

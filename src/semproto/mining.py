@@ -8,15 +8,16 @@ and a greedy maximum-coverage pass picks the final rule set.
 """
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 # ``similarity`` is the scalar specification that SimilarityRanker's scores
 # equal bit for bit; it stays importable here as ``mining.similarity``.
-from .asd import ASD, merge, similarity, subsumes  # noqa: F401
+from .asd import ASD, entity_ids, merge, similarity, subsumes  # noqa: F401
 from .errors import ConfigError, InseparableDataError
 
 
@@ -45,15 +46,11 @@ class ClassClusterDescription:
 
 @dataclass(frozen=True)
 class MiningConfig:
-    dedupe_seeds: bool = True
-    max_seeds: int | None = None
     parallelism: int = 1
 
     def __post_init__(self):
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.max_seeds is not None and self.max_seeds < 0:
-            raise ConfigError(f"max_seeds must be >= 0, got {self.max_seeds}")
 
 
 # ----------------------------------------------------------------------------
@@ -61,49 +58,114 @@ class MiningConfig:
 # ----------------------------------------------------------------------------
 
 class NegativeAttributeIndex:
-    """Attribute-occurrence inverted index over the negative samples.
+    """Exact entity-containment index over a sequence of samples.
 
-    For each attribute, a bitset of the negatives whose descriptions mention
-    it anywhere.  A candidate can only describe a negative that mentions every
-    attribute the candidate uses, so intersecting those bitsets prunes the
-    negatives that need a full subsumption check.  Results always agree with
-    the naive linear scan.
+    The distinct entities of all samples are interned once.  ``_holders[k]``
+    is a bitset of the sample positions that hold interned entity ``k``, and
+    ``_attr_entities[a]`` a bitset of the interned entities that contain
+    attribute ``a``.  An entity contains ``g`` exactly when it contains every
+    attribute of ``g``, so the samples holding a superset of ``g`` are the
+    holders of the entities in the AND of ``_attr_entities`` over ``g``'s
+    attributes; that bitset is memoized per ``g``.  The samples a description
+    describes are the AND of those bitsets over its entities, with no
+    subsumption scan, and the results always equal the naive linear scan.
+
+    Checks consider only the samples flagged in ``negatives`` (at first,
+    every sample).  ``for_class`` returns a view masked to one class's
+    negatives that shares the memo, so one index built over a whole dataset
+    serves every class.
     """
 
-    def __init__(self, negatives: Sequence[Sample]):
-        self._ids = [n.id for n in negatives]
-        self._asds = [n.asd for n in negatives]
-        self._all = (1 << len(negatives)) - 1
-        self._attr_bits: dict[int, int] = {}
-        for pos, asd in enumerate(self._asds):
-            for attr in asd.attribute_ids:
-                self._attr_bits[attr] = self._attr_bits.get(attr, 0) | (1 << pos)
+    def __init__(self, samples: Sequence[Sample]):
+        self._ids = [s.id for s in samples]
+        self._all = (1 << len(samples)) - 1
+        self.negatives = self._all
+        labelled: dict[str, list[int]] = {}
+        holding: dict[int, list[int]] = {}
+        for pos, sample in enumerate(samples):
+            labelled.setdefault(sample.label, []).append(pos)
+            for e in sample.asd.entities:
+                holding.setdefault(e, []).append(pos)
+        self._label_bits = {label: _bitset(ps) for label, ps in labelled.items()}
+        self._holders = [_bitset(positions) for positions in holding.values()]
+        self._all_entities = (1 << len(holding)) - 1
+        containing: dict[int, list[int]] = {}
+        for k, e in enumerate(holding):
+            for a in entity_ids(e):
+                containing.setdefault(a, []).append(k)
+        self._attr_entities = {a: _bitset(ks) for a, ks in containing.items()}
+        self._memo: dict[int, int] = {}
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def for_class(self, label: str) -> "NegativeAttributeIndex":
+        """A view whose negatives are the samples not labelled ``label``."""
+        view = copy.copy(self)
+        view.negatives = self._all & ~self.labelled(label)
+        return view
+
+    def labelled(self, label: str) -> int:
+        """Bitset of the sample positions labelled ``label``."""
+        return self._label_bits.get(label, 0)
+
+    def _holding(self, g: int) -> int:
+        """Bitset of the samples holding a superset of entity ``g``."""
+        entities = self._all_entities
+        for a in entity_ids(g):
+            entities &= self._attr_entities.get(a, 0)
+            if not entities:
+                break
+        holders = self._holders
+        bits = 0
+        while entities:
+            low = entities & -entities
+            entities ^= low
+            bits |= holders[low.bit_length() - 1]
+        self._memo[g] = bits
+        return bits
+
+    def described(self, candidate: ASD, mask: int) -> int:
+        """Bitset of the samples in ``mask`` that the candidate describes."""
+        memo = self._memo
+        for g in candidate.entities:
+            bits = memo.get(g)
+            mask &= bits if bits is not None else self._holding(g)
+            if not mask:
+                break
+        return mask
+
+    def ids(self, bits: int) -> list[str]:
+        """Ids of the samples flagged in ``bits``, in sample order."""
+        ids = []
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            ids.append(self._ids[low.bit_length() - 1])
+        return ids
 
     def first_described(self, candidate: ASD) -> str | None:
-        """Id of some negative the candidate describes, or None."""
-        survivors = self._all
-        for attr in candidate.attribute_ids:
-            survivors &= self._attr_bits.get(attr, 0)
-            if not survivors:
-                return None
-        while survivors:
-            low = survivors & -survivors
-            survivors ^= low
-            pos = low.bit_length() - 1
-            if subsumes(candidate, self._asds[pos]):
-                return self._ids[pos]
-        return None
+        """Id of the first negative the candidate describes, or None."""
+        bits = self.described(candidate, self.negatives)
+        return self._ids[(bits & -bits).bit_length() - 1] if bits else None
 
     def describes_none(self, candidate: ASD) -> bool:
         return self.first_described(candidate) is None
+
+
+def _bitset(positions: Iterable[int]) -> int:
+    bits = 0
+    for pos in positions:
+        bits |= 1 << pos
+    return bits
 
 
 def check_ccd(candidate: ASD, negatives: Sequence[Sample],
               index: NegativeAttributeIndex | None = None) -> bool:
     """True iff the candidate describes no negative sample.
 
-    With ``index`` (built over the same negatives) the check is pruned by
-    attribute occurrence; without it, a naive scan.  A candidate holding only
+    With ``index`` (whose ``negatives`` are these samples) the check is an
+    index lookup; without it, a naive scan.  A candidate holding only
     the empty entity describes everything, so it passes only when there are no
     negatives at all.
     """
@@ -266,13 +328,20 @@ def _pool_trace(seed_id: str) -> tuple[int, ...]:
 # ----------------------------------------------------------------------------
 
 def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
-              config: MiningConfig = MiningConfig()) -> list[ClassClusterDescription]:
+              config: MiningConfig = MiningConfig(),
+              index: NegativeAttributeIndex | None = None,
+              ) -> list[ClassClusterDescription]:
     """Mine candidate class descriptions from one class versus the rest.
 
     Returns the deduplicated candidates in canonical order, each carrying its
     exact positive coverage.  Raises ``ValueError`` for an empty or mixed
     positive set and ``InseparableDataError`` when some positive's description
     already describes a negative (no sound rule can cover that positive).
+
+    ``index`` is an index over exactly the positives and the negatives, with
+    the negatives in the given order (``Dataset.split`` keeps dataset order,
+    so an index over ``dataset.samples`` serves every class); without it,
+    one is built.
     """
     if not positives:
         raise ValueError("cannot mine from an empty positive set")
@@ -286,25 +355,22 @@ def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
     if overlap:
         raise ValueError(f"sample ids appear on both sides: {sorted(overlap)[:5]}")
 
-    index = NegativeAttributeIndex(negatives)
+    if index is None:
+        index = NegativeAttributeIndex([*positives, *negatives])
+    elif len(index) != len(positives) + len(negatives):
+        raise ValueError("the index does not cover exactly the positives and negatives")
+    index = index.for_class(label)
     for p in positives:
         hit = index.first_described(p.asd)
         if hit is not None:
             raise InseparableDataError(p.id, hit, label)
 
-    seeds = sorted(positives, key=lambda p: p.id)
-    if config.dedupe_seeds:
-        # Identical descriptions provably produce identical traces; keep the
-        # lowest-id representative of each.
-        seen: set[ASD] = set()
-        unique = []
-        for p in seeds:
-            if p.asd not in seen:
-                seen.add(p.asd)
-                unique.append(p)
-        seeds = unique
-    if config.max_seeds is not None:
-        seeds = seeds[:config.max_seeds]
+    # Identical descriptions provably produce identical traces; keep the
+    # lowest-id representative of each.
+    unique: dict[ASD, Sample] = {}
+    for p in sorted(positives, key=lambda p: p.id):
+        unique.setdefault(p.asd, p)
+    seeds = list(unique.values())
 
     if config.parallelism > 1 and len(seeds) > 1:
         raw = _mine_parallel(seeds, positives, negatives, config)
@@ -315,11 +381,10 @@ def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
 
     # Every accepted merge passed the index check inside its trace; the one
     # naive soundness scan runs in pipeline.run_pipeline.
-    result = []
-    for asd in sorted(set(raw), key=lambda a: a.sort_key):
-        coverage = frozenset(p.id for p in positives if subsumes(asd, p.asd))
-        result.append(ClassClusterDescription(asd, label, coverage))
-    return result
+    own = index.labelled(label)
+    return [ClassClusterDescription(asd, label,
+                                    frozenset(index.ids(index.described(asd, own))))
+            for asd in sorted(set(raw), key=lambda a: a.sort_key)]
 
 
 def _mine_parallel(seeds: Sequence[Sample], positives: Sequence[Sample],

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 from .asd import ASD, subsumes
 from .data import Dataset
 from .errors import DatasetValidationError, Diagnostic
-from .mining import (ClassClusterDescription, MiningConfig, SelectionStep,
-                     check_ccd, mine_ccds, select_ccds)
+from .mining import (ClassClusterDescription, MiningConfig, NegativeAttributeIndex,
+                     SelectionStep, check_ccd, mine_ccds, select_ccds)
 from .prototypes import PrototypeRecord, find_prototype
 
 
@@ -56,9 +56,11 @@ def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
         labels = [class_filter]
 
     result = PipelineResult(classes=[])
+    # One index over the whole dataset; mine_ccds masks it to each class.
+    index = NegativeAttributeIndex(dataset.samples)
     for label in labels:
         positives, negatives = dataset.split(label)
-        candidates = mine_ccds(positives, negatives, config)
+        candidates = mine_ccds(positives, negatives, config, index=index)
         # Independent soundness re-check, naive scan only.
         for candidate in candidates:
             if not check_ccd(candidate.asd, negatives):  # pragma: no cover

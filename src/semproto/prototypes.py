@@ -141,21 +141,32 @@ def find_prototype(ccd: ClassClusterDescription, samples: Sequence[Sample], *,
     """Pick the covered sample with minimal distance to the rule description.
 
     Ties break toward the smallest sample id.  The matching breakdown is
-    always computed for the winner so explanations can show which sample
-    entity witnesses which rule entity, whichever metric drove the choice.
+    always given for the winner so explanations can show which sample
+    entity witnesses which rule entity, whichever metric drove the choice:
+    with "edit" it is the one the scoring solved, with "jaccard" it is solved
+    for the winner alone.
     """
     covered = [s for s in samples if s.id in ccd.coverage]
     if not covered:
         raise ValueError(f"rule for class {ccd.class_label!r} covers no given sample")
-    distance = distance_metric_select(metric, unmatched_cost)
-    scored = sorted(((distance(ccd.asd, s.asd), s.id, s) for s in covered),
-                    key=lambda t: (t[0], t[1]))
-    best_distance, _, winner = scored[0]
+    if metric == "edit":
+        def score(sample: Sample) -> tuple[float, EditDistanceBreakdown | None]:
+            breakdown = edit_distance(ccd.asd, sample.asd, unmatched_cost)
+            return breakdown.total, breakdown
+    else:
+        distance = distance_metric_select(metric, unmatched_cost)
+
+        def score(sample: Sample) -> tuple[float, EditDistanceBreakdown | None]:
+            return distance(ccd.asd, sample.asd), None
+    scored = sorted((score(s) + (s,) for s in covered), key=lambda t: (t[0], t[2].id))
+    best_distance, breakdown, winner = scored[0]
+    if breakdown is None:
+        breakdown = edit_distance(ccd.asd, winner.asd, unmatched_cost)
     return PrototypeRecord(
         ccd=ccd,
         sample_id=winner.id,
         metric=metric,
         distance=best_distance,
-        breakdown=edit_distance(ccd.asd, winner.asd, unmatched_cost),
-        runners_up=tuple((sid, d) for d, sid, _ in scored[1:1 + max(0, runners_up)]),
+        breakdown=breakdown,
+        runners_up=tuple((s.id, d) for d, _, s in scored[1:1 + max(0, runners_up)]),
     )

@@ -10,17 +10,20 @@ from hypothesis import strategies as st
 
 from semproto import (
     ASD,
+    GeneratorConfig,
     InseparableDataError,
     MiningConfig,
     NegativeAttributeIndex,
     Sample,
     Vocabulary,
     check_ccd,
+    generate_clevr_hans3,
     greedy_cover,
     merge,
     mine_ccds,
     oracle_coverage_opt,
     random_asds,
+    run_pipeline,
     select_ccds,
     similarity,
     subsumes,
@@ -163,6 +166,8 @@ def test_mined_rules_are_sound_and_complete():
 
 
 def test_seed_dedupe_does_not_change_results():
+    """mine_ccds traces one seed per distinct description; scalar_mine traces
+    every seed, twins included."""
     v = Vocabulary()
     positives = mk_samples(v, "pos", [
         ("p1", [["A", "B"]]),
@@ -170,18 +175,13 @@ def test_seed_dedupe_does_not_change_results():
         ("p3", [["A", "C"]]),
     ])
     negatives = mk_samples(v, "neg", [("n1", [["D"]])])
-    deduped = mine_ccds(positives, negatives)
-    full = mine_ccds(positives, negatives, config=MiningConfig(dedupe_seeds=False))
-    assert deduped == full
-
-
-def test_max_seeds_truncates_but_stays_sound():
-    positives, negatives = random_instance(3)
-    full = mine_ccds(positives, negatives)
-    capped = mine_ccds(positives, negatives, config=MiningConfig(max_seeds=2))
-    assert len(capped) <= len(full)
-    for ccd in capped:
-        assert ccd in full or all(not subsumes(ccd.asd, n.asd) for n in negatives)
+    assert [c.asd for c in mine_ccds(positives, negatives)] == scalar_mine(positives,
+                                                                           negatives)
+    for seed in range(10):
+        positives, negatives = random_instance(seed)
+        positives += [Sample(p.id + "-twin", "pos", p.asd) for p in positives[::2]]
+        assert [c.asd for c in mine_ccds(positives, negatives)] == scalar_mine(
+            positives, negatives)
 
 
 def test_parallel_mining_matches_serial():
@@ -262,15 +262,13 @@ def test_ranker_rejects_empty_and_foreign_descriptions():
 
 
 def scalar_mine(positives, negatives):
-    """The greedy traces with the scalar similarity sort, as a reference."""
+    """The greedy trace of every seed with the scalar similarity sort, as a
+    reference."""
     def order(items, reference):
         return sorted(items, key=lambda it: (-similarity(reference, it.asd), it.id))
 
-    seeds = {}  # lowest id per distinct description
-    for p in sorted(positives, key=lambda p: p.id):
-        seeds.setdefault(p.asd, p)
     raw = set()
-    for seed in seeds.values():
+    for seed in positives:
         description = seed.asd
         remaining = order([p for p in positives if p.id != seed.id], description)
         while remaining:
@@ -322,7 +320,7 @@ def test_index_agrees_with_naive_scan(seed):
     for candidate in stream[6:]:
         naive = next((n.id for n in negatives if subsumes(candidate, n.asd)), None)
         via_index = index.first_described(candidate)
-        assert (naive is None) == (via_index is None)
+        assert via_index == naive
         assert index.describes_none(candidate) == (naive is None)
         assert check_ccd(candidate, negatives, index) == (naive is None)
 
@@ -331,6 +329,87 @@ def test_index_empty_negatives():
     index = NegativeAttributeIndex([])
     assert index.describes_none(ASD.from_id_sets([[0]]))
     assert index.first_described(ASD((0,))) is None
+
+
+@st.composite
+def labelled_sets(draw):
+    """Samples of one to three classes over a vocabulary of 8, 70 or 300 ids,
+    in an order unrelated to their ids, plus candidate descriptions.
+
+    Attributes come from a small pool that always holds the widest id, so
+    entities nest often.  With one class, that class has no negatives.  The
+    candidates are the samples' descriptions, their merges, descriptions
+    holding the empty entity, the empty description and random ones.
+    """
+    width = draw(st.sampled_from([8, 70, 300]))
+    pool = sorted(draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=7))
+                  | {width - 1})
+    entity = st.frozensets(st.sampled_from(pool), max_size=4)
+    descriptions = st.lists(entity, min_size=1, max_size=4).map(ASD.from_id_sets)
+    asds = draw(st.lists(descriptions, min_size=1, max_size=12))
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=len(asds), max_size=len(asds)))
+    ids = draw(st.permutations([f"s{i:02d}" for i in range(len(asds))]))
+    samples = [Sample(sid, label, asd) for sid, label, asd in zip(ids, labels, asds)]
+    candidates = list(asds) + [ASD((0,)), ASD(()), ASD((0, asds[0].entities[-1]))]
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(asds)), draw(st.sampled_from(asds))
+        candidates.append(merge(a, b))
+    candidates += draw(st.lists(descriptions, max_size=3))
+    return samples, candidates
+
+
+@given(labelled_sets())
+@settings(max_examples=300)
+def test_dataset_index_matches_naive_scan(case):
+    samples, candidates = case
+    index = NegativeAttributeIndex(samples)
+    for label in sorted({s.label for s in samples}):
+        positives = [s for s in samples if s.label == label]
+        negatives = [s for s in samples if s.label != label]
+        view = index.for_class(label)
+        for candidate in candidates:
+            naive = next((n.id for n in negatives if subsumes(candidate, n.asd)), None)
+            assert view.first_described(candidate) == naive
+            assert check_ccd(candidate, negatives, view) == (naive is None)
+            covered = index.ids(index.described(candidate, index.labelled(label)))
+            assert covered == [p.id for p in positives if subsumes(candidate, p.asd)]
+        # mining with the shared index: the same inseparability verdict, and
+        # every coverage equal to a subsumes scan
+        try:
+            mined = mine_ccds(positives, negatives, index=index)
+        except InseparableDataError as err:
+            assert (err.positive_id, err.negative_id) == next(
+                (p.id, n.id) for p in positives for n in negatives
+                if subsumes(p.asd, n.asd))
+            with pytest.raises(InseparableDataError):
+                mine_ccds(positives, negatives)
+            continue
+        assert mined == mine_ccds(positives, negatives)
+        for ccd in mined:
+            assert ccd.coverage == {p.id for p in positives if subsumes(ccd.asd, p.asd)}
+            assert check_ccd(ccd.asd, negatives)
+
+
+def test_run_pipeline_builds_one_index(monkeypatch):
+    builds = []
+    init = NegativeAttributeIndex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(NegativeAttributeIndex, "__init__", counting_init)
+    dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=10,
+                                                      objects_max=5, seed=3))
+    result = run_pipeline(dataset, mining=MiningConfig(parallelism=1))
+    assert len(result.classes) == 3
+    assert len(builds) == 1
+
+
+def test_mine_ccds_rejects_a_foreign_index():
+    v = Vocabulary()
+    positives, negatives = worked_instance(v)
+    with pytest.raises(ValueError):
+        mine_ccds(positives, negatives, index=NegativeAttributeIndex(negatives))
 
 
 # ---------------------------------------------------------------------------
