@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .asd import ASD, Vocabulary, subsumes
 from .errors import ConfigError, DatasetValidationError, Diagnostic, GenerationError
@@ -57,22 +57,24 @@ class Dataset:
 
 
 # ----------------------------------------------------------------------------
-# loading and validation
+# reading input files
 # ----------------------------------------------------------------------------
 
-def scan_dataset(lines: Iterable[str], source: str | None = None,
-                 ) -> tuple[Dataset | None, list[Diagnostic]]:
-    """Parse and validate dataset lines, collecting every problem found.
+def _read_lines(path: Path, what: str) -> list[str]:
+    """The lines of a UTF-8 text file; an unreadable file is a validation error."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetValidationError([Diagnostic(f"cannot read {what}: {exc}")],
+                                     source=str(path))
+    # Only "\n": str.splitlines would also split JSON strings at U+2028 and
+    # other separators that a JSON string may hold unescaped.
+    return text.split("\n")
 
-    Returns the dataset (when clean) and all diagnostics; never stops at the
-    first error.  Blank lines are allowed and skipped.
-    """
-    vocab = Vocabulary()
-    samples: list[Sample] = []
-    diagnostics: list[Diagnostic] = []
-    seen_ids: dict[str, int] = {}
-    by_asd: dict[ASD, Sample] = {}
 
+def _json_objects(lines: Iterable[str], diagnostics: list[Diagnostic],
+                  ) -> Iterator[tuple[int, dict]]:
+    """(line number, object) per non-blank line; other lines become diagnostics."""
     for line_no, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
@@ -85,43 +87,83 @@ def scan_dataset(lines: Iterable[str], source: str | None = None,
         if not isinstance(record, dict):
             diagnostics.append(Diagnostic("record is not a JSON object", line=line_no))
             continue
+        yield line_no, record
+
+
+def _entity_problem(value: object, field: str) -> str | None:
+    """Why ``value`` is not a non-empty list of non-empty lists of non-blank
+    strings, or None when it is one."""
+    if not isinstance(value, list) or not value:
+        return f"{field!r} must be a non-empty list of entities"
+    for entity in value:
+        if not isinstance(entity, list) or not entity:
+            return f"empty entity in {field!r}"
+        if not all(isinstance(attr, str) and attr.strip() for attr in entity):
+            return "entity attributes must be non-empty strings"
+    return None
+
+
+class _SampleBuilder:
+    """Makes the samples of one input over a fresh vocabulary.
+
+    Names are interned in the order the samples are added, and attribute ids
+    fix the canonical entity order, so callers add samples in file order.  A
+    description identical to an earlier one under another label is refused.
+    """
+
+    def __init__(self):
+        self.vocab = Vocabulary()
+        self.samples: list[Sample] = []
+        self._first: dict[ASD, Sample] = {}
+
+    def add(self, sample_id: str, label: str, names: list[list[str]],
+            ref: str | None = None, line: int | None = None) -> Diagnostic | None:
+        sample = Sample(sample_id, label, ASD.from_names(self.vocab, names, intern=True),
+                        raw_ref=ref)
+        first = self._first.setdefault(sample.asd, sample)
+        if first.label != label:
+            return Diagnostic(
+                f"identical description under different labels "
+                f"(same as sample {first.id!r} with label {first.label!r}); "
+                "no rule can separate them",
+                line=line, sample_id=sample_id)
+        self.samples.append(sample)
+        return None
+
+
+# ----------------------------------------------------------------------------
+# loading and validation
+# ----------------------------------------------------------------------------
+
+def scan_dataset(lines: Iterable[str], source: str | None = None,
+                 ) -> tuple[Dataset | None, list[Diagnostic]]:
+    """Parse and validate dataset lines, collecting every problem found.
+
+    Returns the dataset (when clean) and all diagnostics; never stops at the
+    first error.  Blank lines are allowed and skipped.
+    """
+    builder = _SampleBuilder()
+    diagnostics: list[Diagnostic] = []
+    seen_ids: dict[str, int] = {}
+    for line_no, record in _json_objects(lines, diagnostics):
         sample_id = record.get("id")
         label = record.get("label")
-        raw_asd = record.get("asd")
+        names = record.get("asd")
         ref = record.get("ref")
-        bad = False
-        if not isinstance(sample_id, str) or not sample_id:
-            diagnostics.append(Diagnostic("missing or empty 'id'", line=line_no))
-            bad = True
+        named = sample_id if isinstance(sample_id, str) and sample_id else None
+        problems = []
+        if named is None:
+            problems.append("missing or empty 'id'")
         if not isinstance(label, str) or not label:
-            diagnostics.append(Diagnostic("missing or empty 'label'", line=line_no,
-                                          sample_id=sample_id if isinstance(sample_id, str) else None))
-            bad = True
-        if not isinstance(raw_asd, list) or not raw_asd:
-            diagnostics.append(Diagnostic("'asd' must be a non-empty list of entities",
-                                          line=line_no,
-                                          sample_id=sample_id if isinstance(sample_id, str) else None))
-            bad = True
+            problems.append("missing or empty 'label'")
+        entity_problem = _entity_problem(names, "asd")
+        if entity_problem:
+            problems.append(entity_problem)
         if ref is not None and not isinstance(ref, str):
-            diagnostics.append(Diagnostic("'ref' must be a string when present",
-                                          line=line_no, sample_id=sample_id))
-            bad = True
-        if bad:
-            continue
-        entity_lists: list[list[str]] = []
-        for entity in raw_asd:
-            if not isinstance(entity, list) or not entity:
-                diagnostics.append(Diagnostic("empty entity in 'asd'",
-                                              line=line_no, sample_id=sample_id))
-                bad = True
-                break
-            if not all(isinstance(attr, str) and attr.strip() for attr in entity):
-                diagnostics.append(Diagnostic("entity attributes must be non-empty strings",
-                                              line=line_no, sample_id=sample_id))
-                bad = True
-                break
-            entity_lists.append(entity)
-        if bad:
+            problems.append("'ref' must be a string when present")
+        if problems:
+            diagnostics.extend(Diagnostic(p, line=line_no, sample_id=named)
+                               for p in problems)
             continue
         if sample_id in seen_ids:
             diagnostics.append(Diagnostic(
@@ -129,47 +171,33 @@ def scan_dataset(lines: Iterable[str], source: str | None = None,
                 line=line_no, sample_id=sample_id))
             continue
         seen_ids[sample_id] = line_no
-        asd = ASD.from_names(vocab, entity_lists, intern=True)
-        clash = by_asd.get(asd)
-        if clash is not None and clash.label != label:
-            diagnostics.append(Diagnostic(
-                f"identical description under different labels "
-                f"(same as sample {clash.id!r} with label {clash.label!r}); "
-                "no rule can separate them",
-                line=line_no, sample_id=sample_id))
-            continue
-        sample = Sample(sample_id, label, asd, raw_ref=ref)
-        if clash is None:
-            by_asd[asd] = sample
-        samples.append(sample)
+        clash = builder.add(sample_id, label, names, ref, line=line_no)
+        if clash:
+            diagnostics.append(clash)
 
     if diagnostics:
         return None, diagnostics
-    if not samples:
+    if not builder.samples:
         return None, [Diagnostic("dataset contains no samples")]
-    return Dataset(vocab, tuple(samples), source=source), []
+    return Dataset(builder.vocab, tuple(builder.samples), source=source), []
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Load and validate a dataset file; raises with every diagnostic on failure."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        dataset, diagnostics = scan_dataset(handle, source=str(path))
+    dataset, diagnostics = scan_dataset(_read_lines(path, "dataset"), source=str(path))
     if diagnostics:
         raise DatasetValidationError(diagnostics, source=str(path))
-    assert dataset is not None
     return dataset
 
 
 def validate_dataset(path: str | Path) -> list[Diagnostic]:
     """All validation findings for a dataset file (empty when clean)."""
-    path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as handle:
-            _, diagnostics = scan_dataset(handle, source=str(path))
-    except OSError as exc:
-        return [Diagnostic(f"cannot read dataset: {exc}")]
-    return diagnostics
+        load_dataset(path)
+    except DatasetValidationError as exc:
+        return exc.diagnostics
+    return []
 
 
 def sample_record(sample: Sample, vocab: Vocabulary) -> dict:
@@ -312,31 +340,21 @@ def write_ground_truth(rules: dict[str, ASD], vocab: Vocabulary,
 
 def load_ground_truth(path: str | Path, vocab: Vocabulary) -> dict[str, ASD]:
     """Read ground-truth rules, interning attribute names into ``vocab``."""
+    path = Path(path)
     rules: dict[str, ASD] = {}
     diagnostics: list[Diagnostic] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                record = json.loads(text)
-            except json.JSONDecodeError as exc:
-                diagnostics.append(Diagnostic(f"malformed JSON ({exc.msg})", line=line_no))
-                continue
-            label = record.get("label") if isinstance(record, dict) else None
-            rule = record.get("rule") if isinstance(record, dict) else None
-            if (not isinstance(label, str) or not isinstance(rule, list) or not rule
-                    or not all(isinstance(e, list) and e for e in rule)):
-                diagnostics.append(Diagnostic("expected {'label', 'rule'} with a "
-                                              "non-empty rule", line=line_no))
-                continue
+    for line_no, record in _json_objects(_read_lines(path, "ground truth"), diagnostics):
+        label, rule = record.get("label"), record.get("rule")
+        problem = ("'label' must be a string" if not isinstance(label, str)
+                   else _entity_problem(rule, "rule"))
+        if problem:
+            diagnostics.append(Diagnostic(problem, line=line_no))
+        else:
             rules[label] = ASD.from_names(vocab, rule, intern=True)
+    if not diagnostics and not rules:
+        diagnostics.append(Diagnostic("ground-truth file holds no rules"))
     if diagnostics:
         raise DatasetValidationError(diagnostics, source=str(path))
-    if not rules:
-        raise DatasetValidationError([Diagnostic("ground-truth file holds no rules")],
-                                     source=str(path))
     return rules
 
 
@@ -363,12 +381,8 @@ def convert_attribute_matrix(path: str | Path, grouping: str = "whole",
     path = Path(path)
     diagnostics: list[Diagnostic] = []
     rows: list[tuple[str, str, float, str | None]] = []
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DatasetValidationError([Diagnostic(f"cannot read matrix: {exc}")],
-                                     source=str(path))
-    delimiter = "\t" if lines and "\t" in lines[0] else ","
+    lines = _read_lines(path, "matrix")
+    delimiter = "\t" if "\t" in lines[0] else ","
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -393,13 +407,10 @@ def convert_attribute_matrix(path: str | Path, grouping: str = "whole",
         label = parts[3] if len(parts) == 4 else None
         rows.append((parts[0], parts[1], value, label))
 
-    order: list[str] = []
-    kept: dict[str, list[str]] = {}
+    kept: dict[str, list[str]] = {}  # in first-appearance order
     labels: dict[str, str] = {}
     for sample_id, attr, value, label in rows:
-        if sample_id not in kept:
-            kept[sample_id] = []
-            order.append(sample_id)
+        attrs = kept.setdefault(sample_id, [])
         if label is not None:
             previous = labels.get(sample_id)
             if previous is not None and previous != label:
@@ -408,15 +419,21 @@ def convert_attribute_matrix(path: str | Path, grouping: str = "whole",
                     sample_id=sample_id))
             labels[sample_id] = label
         if value >= threshold:
-            kept[sample_id].append(attr)
+            attrs.append(attr)
 
-    vocab = Vocabulary()
-    name_lists: dict[str, list[list[str]]] = {}
-    for sample_id in order:
-        attrs = kept[sample_id]
+    builder = _SampleBuilder()
+    for sample_id, attrs in kept.items():
         if not attrs:
             diagnostics.append(Diagnostic(
                 f"no attribute at or above threshold {threshold}", sample_id=sample_id))
+            continue
+        label = labels.get(sample_id)
+        if label is None and "/" in sample_id:
+            label = sample_id.split("/", 1)[0]
+        if label is None:
+            diagnostics.append(Diagnostic(
+                "no label: add a fourth column or use 'label/...' sample ids",
+                sample_id=sample_id))
             continue
         if grouping == "whole":
             entities = [attrs]
@@ -425,38 +442,12 @@ def convert_attribute_matrix(path: str | Path, grouping: str = "whole",
             for attr in attrs:
                 by_part.setdefault(attr.split("::", 1)[0], []).append(attr)
             entities = [by_part[part] for part in sorted(by_part)]
-        name_lists[sample_id] = entities
-        if sample_id not in labels:
-            if "/" in sample_id:
-                labels[sample_id] = sample_id.split("/", 1)[0]
-            else:
-                diagnostics.append(Diagnostic(
-                    "no label: add a fourth column or use 'label/...' sample ids",
-                    sample_id=sample_id))
+        clash = builder.add(sample_id, label, entities)
+        if clash:
+            diagnostics.append(clash)
 
+    if not diagnostics and not builder.samples:
+        diagnostics.append(Diagnostic("matrix holds no samples"))
     if diagnostics:
         raise DatasetValidationError(diagnostics, source=str(path))
-    if not name_lists:
-        raise DatasetValidationError([Diagnostic("matrix holds no samples")],
-                                     source=str(path))
-
-    samples = []
-    by_asd: dict[ASD, Sample] = {}
-    for sample_id in order:
-        if sample_id not in name_lists:
-            continue
-        asd = ASD.from_names(vocab, name_lists[sample_id], intern=True)
-        clash = by_asd.get(asd)
-        if clash is not None and clash.label != labels[sample_id]:
-            diagnostics.append(Diagnostic(
-                f"identical description under different labels "
-                f"(same as sample {clash.id!r} with label {clash.label!r})",
-                sample_id=sample_id))
-            continue
-        sample = Sample(sample_id, labels[sample_id], asd)
-        if clash is None:
-            by_asd[asd] = sample
-        samples.append(sample)
-    if diagnostics:
-        raise DatasetValidationError(diagnostics, source=str(path))
-    return Dataset(vocab, tuple(samples), source=str(path))
+    return Dataset(builder.vocab, tuple(builder.samples), source=str(path))

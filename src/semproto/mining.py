@@ -149,9 +149,6 @@ class NegativeAttributeIndex:
         bits = self.described(candidate, self.negatives)
         return self._ids[(bits & -bits).bit_length() - 1] if bits else None
 
-    def describes_none(self, candidate: ASD) -> bool:
-        return self.first_described(candidate) is None
-
 
 def _bitset(positions: Iterable[int]) -> int:
     bits = 0
@@ -160,17 +157,12 @@ def _bitset(positions: Iterable[int]) -> int:
     return bits
 
 
-def check_ccd(candidate: ASD, negatives: Sequence[Sample],
-              index: NegativeAttributeIndex | None = None) -> bool:
-    """True iff the candidate describes no negative sample.
+def check_ccd(candidate: ASD, negatives: Sequence[Sample]) -> bool:
+    """True iff the candidate describes no negative sample, by a naive scan.
 
-    With ``index`` (whose ``negatives`` are these samples) the check is an
-    index lookup; without it, a naive scan.  A candidate holding only
-    the empty entity describes everything, so it passes only when there are no
-    negatives at all.
+    A candidate holding only the empty entity describes everything, so it
+    passes only when there are no negatives at all.
     """
-    if index is not None:
-        return index.describes_none(candidate)
     return all(not subsumes(candidate, n.asd) for n in negatives)
 
 
@@ -290,7 +282,7 @@ def _trace(seed_asd: ASD, remaining: np.ndarray, index: NegativeAttributeIndex,
         else:
             generalized = merge(description, candidate)
         # Accepted no-ops and rejections leave the ordering untouched.
-        if generalized != description and index.describes_none(generalized):
+        if generalized != description and index.first_described(generalized) is None:
             description = generalized
             remaining[queue[:visited]] = False
             queue = _sort_by_similarity(remaining, description, ranker)

@@ -24,7 +24,6 @@ class OracleBudget:
 
     max_entities: int = 6
     max_candidates: int = 12
-    rng_seed: int = 0
 
 
 # ----------------------------------------------------------------------------

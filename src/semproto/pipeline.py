@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 from .asd import ASD, subsumes
 from .data import Dataset
-from .errors import DatasetValidationError, Diagnostic
+from .errors import ConfigError, DatasetValidationError, Diagnostic
 from .mining import (ClassClusterDescription, MiningConfig, NegativeAttributeIndex,
                      SelectionStep, check_ccd, mine_ccds, select_ccds)
 from .prototypes import PrototypeRecord, find_prototype
@@ -45,6 +45,8 @@ def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
     With ``ground_truth``, each class's top rule is compared for mutual
     subsumption against the known rule.
     """
+    if max_prototypes is not None and max_prototypes < 0:
+        raise ConfigError(f"max_prototypes must be >= 0, got {max_prototypes}")
     config = mining if mining is not None else MiningConfig()
     labels = dataset.labels()
     if class_filter is not None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from .asd import Vocabulary
 from .data import Dataset
 from .pipeline import ClassResult, PipelineResult
 from .prototypes import PrototypeRecord
@@ -27,9 +26,8 @@ def build_report(result: PipelineResult, dataset: Dataset, *,
                  dataset_path: str, dataset_sha256: str, version: str,
                  flags: dict) -> dict:
     """Assemble the JSON-ready report for a finished pipeline run."""
-    vocab = dataset.vocabulary
-    classes = [_class_block(c, vocab) for c in result.classes]
-    report = {
+    classes = [_class_block(c, dataset) for c in result.classes]
+    return {
         "schemaVersion": SCHEMA_VERSION,
         "metadata": {
             "tool": TOOL_NAME,
@@ -41,11 +39,10 @@ def build_report(result: PipelineResult, dataset: Dataset, *,
         "warnings": list(result.warnings),
         "classes": classes,
     }
-    _attach_sample_views(report, dataset)
-    return report
 
 
-def _class_block(c: ClassResult, vocab: Vocabulary) -> dict:
+def _class_block(c: ClassResult, dataset: Dataset) -> dict:
+    vocab = dataset.vocabulary
     ccds = []
     for step in c.selection:
         names = step.ccd.asd.to_name_lists(vocab)
@@ -64,13 +61,16 @@ def _class_block(c: ClassResult, vocab: Vocabulary) -> dict:
         "ccds": ccds,
         "uncovered": list(c.uncovered),
         "ruleRecovered": c.rule_recovered,
-        "prototypes": [_prototype_block(p, i, vocab)
+        "prototypes": [_prototype_block(p, i, dataset)
                        for i, p in enumerate(c.prototypes)],
     }
 
 
-def _prototype_block(p: PrototypeRecord, ccd_index: int, vocab: Vocabulary) -> dict:
+def _prototype_block(p: PrototypeRecord, ccd_index: int, dataset: Dataset) -> dict:
+    vocab = dataset.vocabulary
     rule_names = p.ccd.asd.to_name_lists(vocab)
+    # The sample's own description goes in too, so the report stands alone.
+    names = dataset.by_id[p.sample_id].asd.to_name_lists(vocab)
     return {
         "sampleId": p.sample_id,
         "ccdIndex": ccd_index,
@@ -79,33 +79,19 @@ def _prototype_block(p: PrototypeRecord, ccd_index: int, vocab: Vocabulary) -> d
         "feasibleInjective": p.breakdown.feasible_injective,
         "editTotal": p.breakdown.total,
         "matched": [
-            {"ruleEntity": rule_names[i], "sampleEntityIndex": j, "insertions": w}
+            {"ruleEntity": rule_names[i], "sampleEntityIndex": j, "insertions": w,
+             "sampleEntity": names[j],
+             "extraAttributes": sorted(set(names[j]) - set(rule_names[i]),
+                                       key=names[j].index)}
             for i, j, w in p.breakdown.matched_pairs
         ],
         "unmatchedEntities": [
-            {"sampleEntityIndex": j, "cost": cost}
+            {"sampleEntityIndex": j, "cost": cost, "entity": names[j]}
             for j, cost in p.breakdown.unmatched_sample_entities
         ],
         "runnersUp": [{"sampleId": sid, "distance": d} for sid, d in p.runners_up],
+        "sampleAsd": names,
     }
-
-
-def _attach_sample_views(report: dict, dataset: Dataset) -> None:
-    """Embed each prototype's sample description so reports stand alone."""
-    vocab = dataset.vocabulary
-    for block in report["classes"]:
-        for proto in block["prototypes"]:
-            sample = dataset.by_id[proto["sampleId"]]
-            names = sample.asd.to_name_lists(vocab)
-            proto["sampleAsd"] = names
-            for pair in proto["matched"]:
-                j = pair["sampleEntityIndex"]
-                pair["sampleEntity"] = names[j]
-                pair["extraAttributes"] = sorted(
-                    set(names[j]) - set(pair["ruleEntity"]),
-                    key=names[j].index)
-            for un in proto["unmatchedEntities"]:
-                un["entity"] = names[un["sampleEntityIndex"]]
 
 
 def serialize_report(report: dict) -> str:

@@ -187,6 +187,15 @@ def test_run_inseparable_dataset(tmp_path, capsys):
     assert "p1" in capsys.readouterr().err
 
 
+def test_run_negative_max_prototypes(tiny_dataset, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    rc = main(["run", "--dataset", str(tiny_dataset), "--output", str(out),
+               "--max-prototypes", "-1"])
+    assert rc == EXIT_VALIDATION
+    assert "max_prototypes must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_unwritable_output_is_internal(tiny_dataset, tmp_path):
     rc = main(["run", "--dataset", str(tiny_dataset),
                "--output", "/nonexistent-dir/report.json"])
@@ -196,6 +205,40 @@ def test_run_unwritable_output_is_internal(tiny_dataset, tmp_path):
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args, expected", [
+    (["run", "--dataset", "{missing}"], "cannot read dataset"),
+    (["run", "--dataset", "{directory}"], "cannot read dataset"),
+    (["run", "--dataset", "{not_utf8}"], "cannot read dataset"),
+    (["validate", "--dataset", "{missing}"], "cannot read dataset"),
+    (["validate", "--dataset", "{directory}"], "cannot read dataset"),
+    (["validate", "--dataset", "{not_utf8}"], "cannot read dataset"),
+    (["run", "--dataset", "{tiny}", "--ground-truth", "{missing}"],
+     "cannot read ground truth"),
+    (["run", "--dataset", "{tiny}", "--ground-truth", "{not_utf8}"],
+     "cannot read ground truth"),
+    (["run", "--dataset", "{tiny}", "--ground-truth", "{numeric_rule}"],
+     "entity attributes must be non-empty strings"),
+    (["convert", "--matrix", "{not_utf8}"], "cannot read matrix"),
+], ids=["run-missing", "run-directory", "run-not-utf8", "validate-missing",
+        "validate-directory", "validate-not-utf8", "ground-truth-missing",
+        "ground-truth-not-utf8", "ground-truth-numeric-attribute",
+        "convert-not-utf8"])
+def test_bad_input_files_exit_2(tiny_dataset, tmp_path, capsys, args, expected):
+    paths = {"missing": tmp_path / "missing.jsonl", "directory": tmp_path / "dir",
+             "not_utf8": tmp_path / "latin1.jsonl", "tiny": tiny_dataset,
+             "numeric_rule": tmp_path / "rules.jsonl"}
+    paths["directory"].mkdir()
+    paths["not_utf8"].write_bytes('{"id": "s\u00e9"}\n'.encode("latin-1"))
+    paths["numeric_rule"].write_text('{"label": "classA", "rule": [[1, 2]]}\n')
+    argv = [arg.format(**paths) for arg in args]
+    if argv[0] != "validate":
+        argv += ["--output", str(tmp_path / "out.json")]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert expected in captured.out + captured.err
+    assert "Traceback" not in captured.err
+
 
 def test_validate_reports_each_problem(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"

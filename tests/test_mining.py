@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from semproto import (
     ASD,
+    ConfigError,
     GeneratorConfig,
     InseparableDataError,
     MiningConfig,
@@ -133,10 +134,8 @@ def test_input_validation():
 
 
 def test_config_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError):
         MiningConfig(parallelism=0)
-    with pytest.raises(Exception):
-        MiningConfig(max_seeds=-1)
 
 
 def random_instance(seed, n_pos=8, n_neg=6):
@@ -321,13 +320,12 @@ def test_index_agrees_with_naive_scan(seed):
         naive = next((n.id for n in negatives if subsumes(candidate, n.asd)), None)
         via_index = index.first_described(candidate)
         assert via_index == naive
-        assert index.describes_none(candidate) == (naive is None)
-        assert check_ccd(candidate, negatives, index) == (naive is None)
+        assert check_ccd(candidate, negatives) == (naive is None)
 
 
 def test_index_empty_negatives():
     index = NegativeAttributeIndex([])
-    assert index.describes_none(ASD.from_id_sets([[0]]))
+    assert index.first_described(ASD.from_id_sets([[0]])) is None
     assert index.first_described(ASD((0,))) is None
 
 
@@ -370,7 +368,7 @@ def test_dataset_index_matches_naive_scan(case):
         for candidate in candidates:
             naive = next((n.id for n in negatives if subsumes(candidate, n.asd)), None)
             assert view.first_described(candidate) == naive
-            assert check_ccd(candidate, negatives, view) == (naive is None)
+            assert check_ccd(candidate, negatives) == (naive is None)
             covered = index.ids(index.described(candidate, index.labelled(label)))
             assert covered == [p.id for p in positives if subsumes(candidate, p.asd)]
         # mining with the shared index: the same inseparability verdict, and
