@@ -247,11 +247,7 @@ def _directed_similarity(xs: Sequence[int], ys: Sequence[int]) -> float:
     for x in xs:
         best = 0.0
         for y in ys:
-            if x == 0 and y == 0:
-                j = 1.0
-            else:
-                inter = (x & y).bit_count()
-                j = inter / (x | y).bit_count() if inter else 0.0
+            j = jaccard(x, y)
             if j > best:
                 best = j
                 if best == 1.0:

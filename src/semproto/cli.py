@@ -101,9 +101,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     report_path = Path(args.report)
     try:
+        # ValueError covers text that is not UTF-8 and text that is not JSON.
         report = json.loads(report_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read report {report_path}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if not isinstance(report, dict):
+        print(f"error: malformed report {report_path}: not a JSON object",
+              file=sys.stderr)
         return EXIT_VALIDATION
     if report.get("schemaVersion") != SCHEMA_VERSION:
         print(f"error: unsupported report schema {report.get('schemaVersion')!r}",
@@ -113,6 +118,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
         text = render_explanation(report, args.sample)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        # a field the schema requires is missing or has the wrong type
+        print(f"error: malformed report {report_path}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_VALIDATION
     print(text, end="")
     return EXIT_OK

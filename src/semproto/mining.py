@@ -263,14 +263,16 @@ def _sort_by_similarity(remaining: np.ndarray, reference: ASD,
 # seed traces
 # ----------------------------------------------------------------------------
 
-def _trace(seed_asd: ASD, remaining: np.ndarray, index: NegativeAttributeIndex,
-           ranker: SimilarityRanker) -> ASD:
+def _trace(seed: int, index: NegativeAttributeIndex, ranker: SimilarityRanker) -> ASD:
     """Run one seed's greedy generalization and return its final description.
 
-    ``remaining`` flags, by ranker position, the positives the seed visits;
-    the trace clears the flags of those it has visited.
+    ``seed`` is the ranker position of the seed.  ``remaining`` flags, by
+    ranker position, the positives still to visit (at first, all but the
+    seed); an accepted merge clears the flags of those visited before it.
     """
-    description = seed_asd
+    remaining = np.ones(len(ranker.asds), dtype=bool)
+    remaining[seed] = False
+    description = ranker.asds[seed]
     queue = _sort_by_similarity(remaining, description, ranker)
     visited = 0
     while visited < len(queue):
@@ -290,29 +292,24 @@ def _trace(seed_asd: ASD, remaining: np.ndarray, index: NegativeAttributeIndex,
     return description
 
 
-# Worker-side state for parallel mining, set once per process.
+# Worker-side state for parallel mining: the class index and ranker that
+# mine_ccds built, inherited under fork and pickled once per worker otherwise.
+# "positives" lists (id, ASD) pairs for perfbench/spans.py, which reads it.
 _POOL_STATE: dict | None = None
 
 
-def _pool_init(positives: list[tuple[str, tuple[int, ...]]],
-               negatives: list[tuple[str, tuple[int, ...]]]) -> None:
+def _pool_init(index: NegativeAttributeIndex, ranker: SimilarityRanker) -> None:
     global _POOL_STATE
-    samples = [(sid, ASD(entities)) for sid, entities in positives]
-    index = NegativeAttributeIndex(
-        [Sample(sid, "", ASD(entities)) for sid, entities in negatives])
     _POOL_STATE = {
-        "positives": samples,
+        "positives": list(zip(ranker.ids, ranker.asds)),
         "index": index,
-        "ranker": SimilarityRanker(samples),
+        "ranker": ranker,
     }
 
 
-def _pool_trace(seed_id: str) -> tuple[int, ...]:
+def _pool_trace(seed: int) -> tuple[int, ...]:
     assert _POOL_STATE is not None
-    ranker = _POOL_STATE["ranker"]
-    seed_asd = next(asd for sid, asd in _POOL_STATE["positives"] if sid == seed_id)
-    result = _trace(seed_asd, ranker.ids != seed_id, _POOL_STATE["index"], ranker)
-    return result.entities
+    return _trace(seed, _POOL_STATE["index"], _POOL_STATE["ranker"]).entities
 
 
 # ----------------------------------------------------------------------------
@@ -333,7 +330,8 @@ def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
     ``index`` is an index over exactly the positives and the negatives, with
     the negatives in the given order (``Dataset.split`` keeps dataset order,
     so an index over ``dataset.samples`` serves every class); without it,
-    one is built.
+    one is built.  Serial and pooled traces share its class view and one
+    ranker over the positives.
     """
     if not positives:
         raise ValueError("cannot mine from an empty positive set")
@@ -343,7 +341,10 @@ def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
     label = positives[0].label
     if any(n.label == label for n in negatives):
         raise ValueError(f"negatives contain the positive label {label!r}")
-    overlap = {p.id for p in positives} & {n.id for n in negatives}
+    positive_ids = {p.id for p in positives}
+    if len(positive_ids) != len(positives):
+        raise ValueError("positive sample ids must be unique")
+    overlap = positive_ids & {n.id for n in negatives}
     if overlap:
         raise ValueError(f"sample ids appear on both sides: {sorted(overlap)[:5]}")
 
@@ -357,19 +358,22 @@ def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
         if hit is not None:
             raise InseparableDataError(p.id, hit, label)
 
+    ranker = SimilarityRanker([(p.id, p.asd) for p in positives])
     # Identical descriptions provably produce identical traces; keep the
-    # lowest-id representative of each.
-    unique: dict[ASD, Sample] = {}
-    for p in sorted(positives, key=lambda p: p.id):
-        unique.setdefault(p.asd, p)
+    # lowest-id representative of each, as a ranker position.
+    unique: dict[ASD, int] = {}
+    for seed in ranker._by_id.tolist():
+        unique.setdefault(ranker.asds[seed], seed)
     seeds = list(unique.values())
 
     if config.parallelism > 1 and len(seeds) > 1:
-        raw = _mine_parallel(seeds, positives, negatives, config)
+        chunk = max(1, len(seeds) // (config.parallelism * 4))
+        with ProcessPoolExecutor(max_workers=config.parallelism, initializer=_pool_init,
+                                 initargs=(index, ranker)) as pool:
+            raw = [ASD(entities)
+                   for entities in pool.map(_pool_trace, seeds, chunksize=chunk)]
     else:
-        ranker = SimilarityRanker([(p.id, p.asd) for p in positives])
-        raw = [_trace(seed.asd, ranker.ids != seed.id, index, ranker)
-               for seed in seeds]
+        raw = [_trace(seed, index, ranker) for seed in seeds]
 
     # Every accepted merge passed the index check inside its trace; the one
     # naive soundness scan runs in pipeline.run_pipeline.
@@ -377,19 +381,6 @@ def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
     return [ClassClusterDescription(asd, label,
                                     frozenset(index.ids(index.described(asd, own))))
             for asd in sorted(set(raw), key=lambda a: a.sort_key)]
-
-
-def _mine_parallel(seeds: Sequence[Sample], positives: Sequence[Sample],
-                   negatives: Sequence[Sample], config: MiningConfig) -> list[ASD]:
-    pos_blob = [(p.id, p.asd.entities) for p in positives]
-    neg_blob = [(n.id, n.asd.entities) for n in negatives]
-    chunk = max(1, len(seeds) // (config.parallelism * 4))
-    with ProcessPoolExecutor(
-            max_workers=config.parallelism, initializer=_pool_init,
-            initargs=(pos_blob, neg_blob)) as pool:
-        entity_tuples = list(pool.map(_pool_trace, [s.id for s in seeds],
-                                      chunksize=chunk))
-    return [ASD(entities) for entities in entity_tuples]
 
 
 # ----------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from .data import Dataset
 from .errors import ConfigError, DatasetValidationError, Diagnostic
 from .mining import (ClassClusterDescription, MiningConfig, NegativeAttributeIndex,
                      SelectionStep, check_ccd, mine_ccds, select_ccds)
-from .prototypes import PrototypeRecord, find_prototype
+from .prototypes import PrototypeRecord, distance_metric_select, find_prototype
 
 
 @dataclass
@@ -47,6 +47,7 @@ def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
     """
     if max_prototypes is not None and max_prototypes < 0:
         raise ConfigError(f"max_prototypes must be >= 0, got {max_prototypes}")
+    distance_metric_select(metric, unmatched_cost)  # ConfigError for unknown names
     config = mining if mining is not None else MiningConfig()
     labels = dataset.labels()
     if class_filter is not None:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .asd import ASD, similarity, subsumes
+from .asd import ASD, similarity
 from .errors import ConfigError
 from .mining import ClassClusterDescription, Sample
 
@@ -77,8 +77,6 @@ def edit_distance(rule: ASD, sample: ASD,
     _check_mode(unmatched_cost)
     if not rule.entities or not sample.entities:
         raise ValueError("edit distance requires non-empty descriptions")
-    if not subsumes(rule, sample):
-        raise ValueError("rule does not describe the sample; edit distance undefined")
     r = rule.entities
     z = sample.entities
     nr, nz = len(r), len(z)
@@ -88,6 +86,11 @@ def edit_distance(rule: ASD, sample: ASD,
     # entity j, or _BIG when j is not a superset of i
     weight = [[(z[j] & ~r[i]).bit_count() if r[i] & z[j] == r[i] else _BIG
                for j in range(nz)] for i in range(nr)]
+    # ride[i]: the cheapest witness of rule entity i.  Without any witness the
+    # rule does not describe the sample.
+    ride = [min(row) for row in weight]
+    if _BIG in ride:
+        raise ValueError("rule does not describe the sample; edit distance undefined")
 
     if nr <= nz:
         rows, cols = linear_sum_assignment(np.array(weight, dtype=np.int64))
@@ -98,7 +101,6 @@ def edit_distance(rule: ASD, sample: ASD,
     # No injective assignment saturates the rule side.  Exact many-to-one
     # optimum: a rule entity either claims a distinct sample entity (earning
     # back its unmatched cost) or rides its cheapest superset.
-    ride = [min(row) for row in weight]
     augmented = [[weight[i][j] - z_cost[j] if weight[i][j] < _BIG else _BIG
                   for j in range(nz)]
                  + [ride[i] if extra == i else _BIG for extra in range(nr)]

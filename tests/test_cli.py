@@ -116,6 +116,30 @@ def test_explain_rejects_unknown_schema(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+def _without_matched(report):
+    del report["classes"][0]["prototypes"][0]["matched"]
+    return json.dumps(report).encode()
+
+
+@pytest.mark.parametrize("content", [
+    b'{"schemaVersion": 1, "classes": [\xff\xfe]}',  # not UTF-8
+    b"[1]",
+    b'{"schemaVersion": 1}',
+    _without_matched,
+], ids=["not-utf8", "not-an-object", "no-classes", "prototype-without-matched"])
+def test_explain_rejects_malformed_reports(content, tiny_dataset, tmp_path, capsys):
+    report, out = run_report(tmp_path, tiny_dataset)
+    if callable(content):
+        content = content(report)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    capsys.readouterr()
+    assert main(["explain", "--report", str(bad), "--sample", "a1"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "report" in err
+    assert "Traceback" not in err
+
+
 # Pinned digests of the reports for a fixed generated scene set.  Any change
 # to mining order, selection, prototypes or rendering that alters a byte of
 # either report changes these; a refactor must leave them as they are.

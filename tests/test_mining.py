@@ -131,11 +131,32 @@ def test_input_validation():
     clash = mk_samples(v, "neg", [("p1", [["B"]])])
     with pytest.raises(ValueError):
         mine_ccds(pos, clash)
+    # traces address positives by position, so a repeated id is refused
+    with pytest.raises(ValueError, match="unique"):
+        mine_ccds(pos + mk_samples(v, "pos", [("p1", [["A", "C"]])]), neg)
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
         MiningConfig(parallelism=0)
+
+
+@pytest.mark.parametrize("options", [
+    {"max_prototypes": 0, "metric": "bogus", "unmatched_cost": "nope"},
+    {"metric": "bogus"},
+    {"unmatched_cost": "nope"},
+])
+def test_run_pipeline_rejects_unknown_metric_and_mode_before_mining(options,
+                                                                   monkeypatch):
+    import semproto.pipeline
+
+    def no_mining(*args, **kwargs):
+        raise AssertionError("mining ran before the options were checked")
+    monkeypatch.setattr(semproto.pipeline, "mine_ccds", no_mining)
+    dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=5,
+                                                      objects_max=4, seed=1))
+    with pytest.raises(ConfigError):
+        run_pipeline(dataset, **options)
 
 
 def random_instance(seed, n_pos=8, n_neg=6):
@@ -183,13 +204,70 @@ def test_seed_dedupe_does_not_change_results():
             positives, negatives)
 
 
-def test_parallel_mining_matches_serial():
+def parallel_cases():
+    """Mining inputs for the pool: random instances, the same with twin
+    descriptions listed last under lower ids (so the seed kept for a twin
+    pair sits late in ranker order), and one with two distinct seeds."""
     for seed in (0, 1):
         positives, negatives = random_instance(seed, n_pos=10, n_neg=5)
+        yield positives, negatives
+        twins = [Sample("o" + p.id[1:], "pos", p.asd) for p in positives[::3]]
+        yield positives + twins, negatives
+    v = Vocabulary()
+    yield (mk_samples(v, "pos", [("p1", [["A", "B"]]), ("p2", [["A", "C"]]),
+                                 ("p0", [["A", "B"]])]),
+           mk_samples(v, "neg", [("n1", [["D"]])]))
+
+
+def test_parallel_mining_matches_serial():
+    for case, (positives, negatives) in enumerate(parallel_cases()):
+        expected = scalar_mine(positives, negatives)
         serial = mine_ccds(positives, negatives)
-        parallel = mine_ccds(positives, negatives,
-                             config=MiningConfig(parallelism=2))
-        assert serial == parallel
+        assert [c.asd for c in serial] == expected
+        # a dataset-wide index whose sample order is unrelated to the ids
+        samples = [*positives, *negatives]
+        random.Random(case).shuffle(samples)
+        index = NegativeAttributeIndex(samples)
+        assert mine_ccds(positives, negatives, index=index) == serial
+        for workers in (2, 4):
+            parallel = mine_ccds(positives, negatives, MiningConfig(parallelism=workers),
+                                 index=index)
+            assert parallel == serial
+
+
+SPAWN_SCRIPT = """
+import multiprocessing
+from semproto import GeneratorConfig, MiningConfig, generate_clevr_hans3, run_pipeline
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=8,
+                                                      objects_max=4, seed=3))
+    runs = [run_pipeline(dataset, max_prototypes=0, mining=MiningConfig(parallelism=p))
+            for p in (1, 2)]
+    serial, parallel = ([c.candidates for c in run.classes] for run in runs)
+    assert all(serial) and serial == parallel, "parallel candidates differ"
+    print("spawn ok")
+"""
+
+
+def test_parallel_mining_under_spawn(tmp_path):
+    """Under spawn the pool's index and ranker reach the workers pickled."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import semproto
+    script = tmp_path / "spawn_mining.py"
+    script.write_text(SPAWN_SCRIPT)
+    src = str(Path(semproto.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "spawn ok"
 
 
 # ---------------------------------------------------------------------------
