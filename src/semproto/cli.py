@@ -17,12 +17,13 @@ import traceback
 from importlib import metadata
 from pathlib import Path
 
-from .data import (GeneratorConfig, convert_attribute_matrix, generate_clevr_hans3,
-                   load_dataset, load_ground_truth, validate_dataset, write_dataset,
-                   write_ground_truth)
+from .data import (GROUPINGS, GeneratorConfig, convert_attribute_matrix,
+                   generate_clevr_hans3, load_dataset, load_ground_truth,
+                   validate_dataset, write_dataset, write_ground_truth)
 from .errors import DatasetValidationError, SemprotoError
 from .mining import MiningConfig
 from .pipeline import run_pipeline
+from .prototypes import METRICS, UNMATCHED_COST_MODES
 from .report import SCHEMA_VERSION, build_report, render_explanation, render_markdown, serialize_report
 
 EXIT_OK = 0
@@ -196,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict to one class label")
     p_run.add_argument("--max-prototypes", type=int, default=None,
                        help="max rules (and prototypes) per class; default: cover all")
-    p_run.add_argument("--distance", choices=["edit", "jaccard"], default="edit",
+    p_run.add_argument("--distance", choices=METRICS, default="edit",
                        help="prototype distance metric (default: edit)")
-    p_run.add_argument("--unmatched-cost", choices=["attrs", "zero"], default="attrs",
+    p_run.add_argument("--unmatched-cost", choices=UNMATCHED_COST_MODES, default="attrs",
                        help="cost of sample entities the rule does not use")
     p_run.add_argument("--seed", type=int, default=0,
                        help="echoed into the report; mining itself is deterministic")
@@ -234,14 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_convert = sub.add_parser("convert", help="convert an attribute matrix to a dataset")
     p_convert.add_argument("--matrix", required=True,
                            help="CSV/TSV of (sample_id, attribute, value[, label])")
-    p_convert.add_argument("--grouping", choices=["whole", "part-prefix"],
-                           default="whole")
+    p_convert.add_argument("--grouping", choices=GROUPINGS, default="whole")
     p_convert.add_argument("--threshold", type=float, default=1.0,
                            help="keep attributes with value >= threshold (default 1.0)")
     p_convert.add_argument("--output", required=True, help="dataset path")
     p_convert.set_defaults(func=cmd_convert)
 
-    # Undocumented: oracle cross-checks, used by acceptance runs.
+    # Undocumented: the oracle cross-check batteries of selftest.py, which the
+    # oracle tests in tests/ also run.
     p_selftest = sub.add_parser("selftest")
     p_selftest.add_argument("--budget", type=int, default=1000,
                             help="cases per property battery")

@@ -227,6 +227,21 @@ CLEVR_HANS3_RULES: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...] = (
     ("class3", (("Large", "Blue", "Sphere"), ("Small", "Yellow", "Sphere"))),
 )
 
+# The fixed object axes of CLEVR-Hans3: size, material, shape, colour.  Every
+# object takes one value on each, drawn in this order; the vocabulary interns
+# the values in this order too, which fixes the canonical entity order.
+CLEVR_HANS3_AXES: tuple[tuple[str, ...], ...] = (
+    ("Small", "Large"),
+    ("Metal", "Rubber"),
+    ("Cube", "Sphere", "Cylinder"),
+    ("Gray", "Red", "Blue", "Green", "Brown", "Purple", "Cyan", "Yellow"),
+)
+_AXIS_OF = {value: axis for axis, values in enumerate(CLEVR_HANS3_AXES)
+            for value in values}
+
+# Draws per scene before giving up on one that no other class rule describes.
+REJECTION_BUDGET = 1000
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -236,21 +251,13 @@ class GeneratorConfig:
     objects_min: int = 3
     objects_max: int = 10
     seed: int = 0
-    sizes: tuple[str, ...] = ("Small", "Large")
-    materials: tuple[str, ...] = ("Metal", "Rubber")
-    shapes: tuple[str, ...] = ("Cube", "Sphere", "Cylinder")
-    colors: tuple[str, ...] = ("Gray", "Red", "Blue", "Green",
-                               "Brown", "Purple", "Cyan", "Yellow")
     confounded: bool = False
-    rejection_budget: int = 1000
 
     def __post_init__(self):
         if self.samples_per_class < 1:
             raise ConfigError("samples_per_class must be >= 1")
         if self.objects_min < 2 or self.objects_max < self.objects_min:
             raise ConfigError("object count range must satisfy 2 <= min <= max")
-        if self.rejection_budget < 1:
-            raise ConfigError("rejection_budget must be >= 1")
 
 
 def generate_clevr_hans3(config: GeneratorConfig = GeneratorConfig(),
@@ -260,24 +267,15 @@ def generate_clevr_hans3(config: GeneratorConfig = GeneratorConfig(),
     Each scene draws a uniform object count and uniform attributes per object,
     force-fills two objects so the class rule holds, and is rejection-sampled
     until neither other class rule describes it.  The same config always
-    yields the same dataset.  Raises ``GenerationError`` when the rejection
-    budget runs out (pathological axis configurations).
+    yields the same dataset.  Raises ``GenerationError`` when
+    ``REJECTION_BUDGET`` draws in a row all fall under another class rule.
     """
     vocab = Vocabulary()
-    axis_values: set[str] = set()
-    for axis in (config.sizes, config.materials, config.shapes, config.colors):
+    for axis in CLEVR_HANS3_AXES:
         for name in axis:
             vocab.intern(name)
-            axis_values.add(name)
-
-    rules: dict[str, ASD] = {}
-    for label, entities in CLEVR_HANS3_RULES:
-        missing = {attr for entity in entities for attr in entity} - axis_values
-        if missing:
-            raise ConfigError(
-                f"rule attributes {sorted(missing)} are missing from the configured "
-                f"axes; the {label!r} rule could never hold")
-        rules[label] = ASD.from_names(vocab, entities, intern=True)
+    rules = {label: ASD.from_names(vocab, entities, intern=True)
+             for label, entities in CLEVR_HANS3_RULES}
 
     rng = random.Random(config.seed)
     samples: list[Sample] = []
@@ -285,13 +283,13 @@ def generate_clevr_hans3(config: GeneratorConfig = GeneratorConfig(),
     for label, rule_entities in CLEVR_HANS3_RULES:
         other_rules = [rules[other] for other, _ in CLEVR_HANS3_RULES if other != label]
         for i in range(config.samples_per_class):
-            for _ in range(config.rejection_budget):
+            for _ in range(REJECTION_BUDGET):
                 asd = _draw_scene(rng, config, vocab, label, rule_entities)
                 if not any(subsumes(other, asd) for other in other_rules):
                     break
             else:
                 raise GenerationError(
-                    f"gave up after {config.rejection_budget} draws for a "
+                    f"gave up after {REJECTION_BUDGET} draws for a "
                     f"{label!r} scene that no other rule describes")
             samples.append(Sample(f"{label}-{i:0{width}d}", label, asd))
     return Dataset(vocab, tuple(samples)), rules
@@ -300,33 +298,20 @@ def generate_clevr_hans3(config: GeneratorConfig = GeneratorConfig(),
 def _draw_scene(rng: random.Random, config: GeneratorConfig, vocab: Vocabulary,
                 label: str, rule_entities: tuple[tuple[str, ...], ...]) -> ASD:
     count = rng.randint(config.objects_min, config.objects_max)
-    objects = []
-    for _ in range(count):
-        objects.append({
-            "size": rng.choice(config.sizes),
-            "material": rng.choice(config.materials),
-            "shape": rng.choice(config.shapes),
-            "color": rng.choice(config.colors),
-        })
+    objects = [[rng.choice(axis) for axis in CLEVR_HANS3_AXES] for _ in range(count)]
     # Overwrite the constrained axes of the first objects so the class rule
     # holds; the free axes keep their drawn values.
     for slot, entity in enumerate(rule_entities):
         for attr in entity:
-            for axis_name, axis in (("size", config.sizes),
-                                    ("material", config.materials),
-                                    ("shape", config.shapes),
-                                    ("color", config.colors)):
-                if attr in axis:
-                    objects[slot][axis_name] = attr
+            objects[slot][_AXIS_OF[attr]] = attr
     if config.confounded:
         # Reconstructed shortcut attributes: the witness objects of the first
         # two classes get a fixed free axis, so mining picks up the shortcut.
         if label == "class1":
-            objects[0]["color"] = "Gray"
+            objects[0][_AXIS_OF["Gray"]] = "Gray"
         elif label == "class2":
-            objects[1]["material"] = "Metal"
-    name_lists = [[o["size"], o["material"], o["shape"], o["color"]] for o in objects]
-    return ASD.from_names(vocab, name_lists, intern=False)
+            objects[1][_AXIS_OF["Metal"]] = "Metal"
+    return ASD.from_names(vocab, objects, intern=False)
 
 
 def write_ground_truth(rules: dict[str, ASD], vocab: Vocabulary,

@@ -9,6 +9,7 @@ and a greedy maximum-coverage pass picks the final rule set.
 from __future__ import annotations
 
 import copy
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -312,6 +313,13 @@ def _pool_trace(seed: int) -> tuple[int, ...]:
     return _trace(seed, _POOL_STATE["index"], _POOL_STATE["ranker"]).entities
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # ----------------------------------------------------------------------------
 # mining
 # ----------------------------------------------------------------------------
@@ -366,9 +374,12 @@ def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
         unique.setdefault(ranker.asds[seed], seed)
     seeds = list(unique.values())
 
-    if config.parallelism > 1 and len(seeds) > 1:
-        chunk = max(1, len(seeds) // (config.parallelism * 4))
-        with ProcessPoolExecutor(max_workers=config.parallelism, initializer=_pool_init,
+    # A process pool starts all its workers at the first submit, so never
+    # ask for more than there are CPUs to run them or seeds to trace.
+    workers = min(config.parallelism, _usable_cpus(), len(seeds))
+    if workers > 1:
+        chunk = max(1, len(seeds) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(index, ranker)) as pool:
             raw = [ASD(entities)
                    for entities in pool.map(_pool_trace, seeds, chunksize=chunk)]

@@ -25,6 +25,7 @@ from .asd import ASD, similarity
 from .errors import ConfigError
 from .mining import ClassClusterDescription, Sample
 
+METRICS = ("edit", "jaccard")
 UNMATCHED_COST_MODES = ("attrs", "zero")
 
 _BIG = 1 << 40  # larger than any real total; marks forbidden assignment cells
@@ -128,13 +129,13 @@ def _build_breakdown(assignment: dict[int, int], weight: list[list[int]],
 
 def distance_metric_select(name: str,
                            unmatched_cost: str = "attrs") -> Callable[[ASD, ASD], float]:
-    """Return the distance function for a metric name ("edit" or "jaccard")."""
+    """Return the distance function for a metric name, one of ``METRICS``."""
     _check_mode(unmatched_cost)
     if name == "edit":
         return lambda rule, sample: edit_distance(rule, sample, unmatched_cost).total
     if name == "jaccard":
         return lambda rule, sample: 1.0 - similarity(rule, sample)
-    raise ConfigError(f"unknown distance metric {name!r}; expected 'edit' or 'jaccard'")
+    raise ConfigError(f"unknown distance metric {name!r}; expected one of {METRICS}")
 
 
 def find_prototype(ccd: ClassClusterDescription, samples: Sequence[Sample], *,

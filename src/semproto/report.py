@@ -158,13 +158,13 @@ def _breakdown_lines(proto: dict, indent: str = "") -> list[str]:
         lines.append(f"{indent}- witnesses had to be shared "
                      "(no one-to-one match exists)")
     for pair in proto["matched"]:
-        extra = pair.get("extraAttributes", [])
+        extra = pair["extraAttributes"]
         extra_text = (f" (+{pair['insertions']}: {', '.join(extra)})"
                       if extra else " (exact)")
         lines.append(f"{indent}- rule entity {_entity_text(pair['ruleEntity'])} "
-                     f"matches {_entity_text(pair.get('sampleEntity', []))}{extra_text}")
+                     f"matches {_entity_text(pair['sampleEntity'])}{extra_text}")
     for un in proto["unmatchedEntities"]:
-        lines.append(f"{indent}- extra entity {_entity_text(un.get('entity', []))} "
+        lines.append(f"{indent}- extra entity {_entity_text(un['entity'])} "
                      f"(cost {un['cost']})")
     if proto["editTotal"] == 0:
         lines.append(f"{indent}- the sample carries no redundant attributes")
@@ -192,7 +192,7 @@ def _explanation_text(report: dict, block: dict, proto: dict) -> str:
         "",
         "Sample description:",
     ]
-    for names in proto.get("sampleAsd", []):
+    for names in proto["sampleAsd"]:
         lines.append(f"  {_entity_text(names)}")
     lines.append("")
     lines.append(f"Why this sample ({proto['metric']} distance {proto['distance']}):")

@@ -116,17 +116,26 @@ def test_explain_rejects_unknown_schema(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
-def _without_matched(report):
-    del report["classes"][0]["prototypes"][0]["matched"]
-    return json.dumps(report).encode()
+def _first_prototype_edited(edit):
+    def content(report):
+        edit(report["classes"][0]["prototypes"][0])
+        return json.dumps(report).encode()
+    return content
 
 
 @pytest.mark.parametrize("content", [
     b'{"schemaVersion": 1, "classes": [\xff\xfe]}',  # not UTF-8
     b"[1]",
     b'{"schemaVersion": 1}',
-    _without_matched,
-], ids=["not-utf8", "not-an-object", "no-classes", "prototype-without-matched"])
+    _first_prototype_edited(lambda p: p.pop("matched")),
+    _first_prototype_edited(lambda p: p["matched"][0].pop("sampleEntity")),
+    _first_prototype_edited(lambda p: p["matched"][0].pop("extraAttributes")),
+    _first_prototype_edited(
+        lambda p: p["unmatchedEntities"].append({"sampleEntityIndex": 1, "cost": 2})),
+    _first_prototype_edited(lambda p: p.pop("sampleAsd")),
+], ids=["not-utf8", "not-an-object", "no-classes", "prototype-without-matched",
+        "match-without-sampleEntity", "match-without-extraAttributes",
+        "unmatched-without-entity", "prototype-without-sampleAsd"])
 def test_explain_rejects_malformed_reports(content, tiny_dataset, tmp_path, capsys):
     report, out = run_report(tmp_path, tiny_dataset)
     if callable(content):

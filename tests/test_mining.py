@@ -1,6 +1,5 @@
 """Rule mining: greedy merge traces, soundness checks, greedy selection."""
 
-import math
 import random
 
 import numpy as np
@@ -22,7 +21,6 @@ from semproto import (
     greedy_cover,
     merge,
     mine_ccds,
-    oracle_coverage_opt,
     random_asds,
     run_pipeline,
     select_ccds,
@@ -30,6 +28,7 @@ from semproto import (
     subsumes,
 )
 from semproto.mining import SimilarityRanker, _sort_by_similarity
+from semproto.selftest import battery_greedy_coverage
 
 
 def mk_samples(vocab, label, named_asds):
@@ -219,7 +218,9 @@ def parallel_cases():
            mk_samples(v, "neg", [("n1", [["D"]])]))
 
 
-def test_parallel_mining_matches_serial():
+def test_parallel_mining_matches_serial(monkeypatch):
+    # pool sizes up to 4 whatever the host has, so the pool really runs
+    monkeypatch.setattr("semproto.mining._usable_cpus", lambda: 4)
     for case, (positives, negatives) in enumerate(parallel_cases()):
         expected = scalar_mine(positives, negatives)
         serial = mine_ccds(positives, negatives)
@@ -235,12 +236,63 @@ def test_parallel_mining_matches_serial():
             assert parallel == serial
 
 
+def test_pool_size_is_capped_by_cpus_and_seeds(monkeypatch):
+    """--parallelism N asks for at most min(N, usable CPUs, seeds) workers and
+    runs serially when that is 1.  A stand-in pool records its size and maps
+    in-process, so this starts no process."""
+    import os
+
+    from semproto import mining
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(mining, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(mining, "_POOL_STATE", None)
+    positives, negatives = random_instance(0, n_pos=10, n_neg=5)
+    seeds = len({p.asd for p in positives})
+    assert seeds > 3
+    serial = mine_ccds(positives, negatives)
+    huge = MiningConfig(parallelism=10**6)
+
+    def mined_with(affinity, cpu_count):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        sizes.clear()
+        assert mine_ccds(positives, negatives, huge) == serial
+        return list(sizes)
+
+    assert mined_with(affinity=3, cpu_count=64) == [3]
+    assert mined_with(affinity=None, cpu_count=10**6) == [seeds]
+    assert mined_with(affinity=None, cpu_count=2) == [2]
+    assert mined_with(affinity=1, cpu_count=64) == []
+    assert mined_with(affinity=None, cpu_count=None) == []
+
+
 SPAWN_SCRIPT = """
 import multiprocessing
-from semproto import GeneratorConfig, MiningConfig, generate_clevr_hans3, run_pipeline
+from semproto import GeneratorConfig, MiningConfig, generate_clevr_hans3, mining, run_pipeline
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
+    mining._usable_cpus = lambda: 2  # run the pool even on a one-CPU host
     dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=8,
                                                       objects_max=4, seed=3))
     runs = [run_pipeline(dataset, max_prototypes=0, mining=MiningConfig(parallelism=p))
@@ -561,16 +613,5 @@ def test_select_ccds_cumulative_annotations():
     assert [s.cumulative_covered for s in steps] == [3, 4]
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=60)
-def test_greedy_meets_approximation_bound(seed):
-    rng = random.Random(seed)
-    n_sets = rng.randint(1, 12)
-    n_points = rng.randint(1, 20)
-    cov = [frozenset(rng.sample(range(n_points), rng.randint(0, min(6, n_points))))
-           for _ in range(n_sets)]
-    k = rng.randint(1, 4)
-    picks = greedy_cover(cov, k=k)
-    achieved = len(set().union(*(cov[i] for i in picks))) if picks else 0
-    opt = oracle_coverage_opt(cov, k)
-    assert achieved >= math.ceil((1 - 1 / math.e) * opt)
+def test_greedy_meets_approximation_bound():
+    assert battery_greedy_coverage(200, 0) == ("greedy-coverage-bound", 200, 0)
