@@ -12,9 +12,8 @@ from .data import (CLEVR_HANS3_RULES, Dataset, GeneratorConfig,
                    write_ground_truth)
 from .errors import (BudgetError, ConfigError, DatasetValidationError, Diagnostic,
                      GenerationError, InseparableDataError, SemprotoError)
-from .mining import (ClassClusterDescription, MiningConfig, NegativeAttributeIndex,
-                     Sample, SelectionStep, check_ccd, greedy_cover, mine_ccds,
-                     select_ccds)
+from .mining import (ClassClusterDescription, NegativeAttributeIndex, Sample,
+                     SelectionStep, check_ccd, greedy_cover, mine_ccds, select_ccds)
 from .oracle import (OracleBudget, oracle_coverage_opt, oracle_edit_distance,
                      random_asds, subsuming_pairs)
 from .pipeline import ClassResult, PipelineResult, equivalent, run_pipeline
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ASD", "Vocabulary", "canonicalize", "jaccard", "merge", "similarity",
     "subsumes", "trim",
-    "Sample", "ClassClusterDescription", "MiningConfig", "NegativeAttributeIndex",
+    "Sample", "ClassClusterDescription", "NegativeAttributeIndex",
     "SelectionStep", "check_ccd", "greedy_cover", "mine_ccds", "select_ccds",
     "EditDistanceBreakdown", "PrototypeRecord", "distance_metric_select",
     "edit_distance", "find_prototype",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 import traceback
@@ -20,11 +19,11 @@ from pathlib import Path
 from .data import (GROUPINGS, GeneratorConfig, convert_attribute_matrix,
                    generate_clevr_hans3, load_dataset, load_ground_truth,
                    validate_dataset, write_dataset, write_ground_truth)
-from .errors import DatasetValidationError, SemprotoError
-from .mining import MiningConfig
+from .errors import ConfigError, DatasetValidationError, SemprotoError
 from .pipeline import run_pipeline
 from .prototypes import METRICS, UNMATCHED_COST_MODES
-from .report import SCHEMA_VERSION, build_report, render_explanation, render_markdown, serialize_report
+from .report import (build_report, read_report, render_explanation, render_markdown,
+                     serialize_report)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -51,12 +50,16 @@ def _sha256(path: Path) -> str:
 # ----------------------------------------------------------------------------
 
 def cmd_run(args: argparse.Namespace) -> int:
+    out = Path(args.output)
+    if not out.name or out.suffix == ".md":
+        raise ConfigError(f"--output {args.output!r} must name a file whose suffix is "
+                          "not .md: the markdown report goes beside it with that suffix")
+    md = out.with_suffix(".md")
     dataset_path = Path(args.dataset)
     dataset = load_dataset(dataset_path)
     ground_truth = None
     if args.ground_truth:
         ground_truth = load_ground_truth(args.ground_truth, dataset.vocabulary)
-    mining = MiningConfig(parallelism=args.parallelism)
     started = time.monotonic()
     result = run_pipeline(
         dataset,
@@ -64,68 +67,38 @@ def cmd_run(args: argparse.Namespace) -> int:
         max_prototypes=args.max_prototypes,
         metric=args.distance,
         unmatched_cost=args.unmatched_cost,
-        mining=mining,
+        parallelism=args.parallelism,
         ground_truth=ground_truth,
     )
     elapsed = time.monotonic() - started
-    # Flags echo deliberately excludes runtime knobs (parallelism) and wall
-    # clock: reports must be byte-identical for identical inputs.
-    flags = {
-        "classFilter": args.class_filter,
-        "maxPrototypes": args.max_prototypes,
-        "distance": args.distance,
-        "unmatchedCost": args.unmatched_cost,
-        "seed": args.seed,
-    }
     report = build_report(result, dataset,
                           dataset_path=str(dataset_path),
                           dataset_sha256=_sha256(dataset_path),
-                          version=_version(), flags=flags)
-    out = Path(args.output)
+                          version=_version(),
+                          class_filter=args.class_filter,
+                          max_prototypes=args.max_prototypes,
+                          distance=args.distance,
+                          unmatched_cost=args.unmatched_cost,
+                          seed=args.seed)
     out.write_text(serialize_report(report), encoding="utf-8")
-    md = out.with_suffix(".md")
     md.write_text(render_markdown(report), encoding="utf-8")
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    for block in report["classes"]:
+    for c in result.classes:
         recovered = ""
-        if block["ruleRecovered"] is not None:
-            recovered = (" [ground truth recovered]" if block["ruleRecovered"]
+        if c.rule_recovered is not None:
+            recovered = (" [ground truth recovered]" if c.rule_recovered
                          else " [ground truth NOT recovered]")
-        print(f"{block['label']}: {len(block['ccds'])} rule(s), "
-              f"{len(block['prototypes'])} prototype(s){recovered}")
+        print(f"{c.label}: {len(c.selection)} rule(s), "
+              f"{len(c.prototypes)} prototype(s){recovered}")
     print(f"report written to {out} (markdown: {md})")
     print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    report_path = Path(args.report)
-    try:
-        # ValueError covers text that is not UTF-8 and text that is not JSON.
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read report {report_path}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if not isinstance(report, dict):
-        print(f"error: malformed report {report_path}: not a JSON object",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    if report.get("schemaVersion") != SCHEMA_VERSION:
-        print(f"error: unsupported report schema {report.get('schemaVersion')!r}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        text = render_explanation(report, args.sample)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (KeyError, IndexError, TypeError, AttributeError) as exc:
-        # a field the schema requires is missing or has the wrong type
-        print(f"error: malformed report {report_path}: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    print(text, end="")
+    report = read_report(args.report)
+    print(render_explanation(report, args.sample), end="")
     return EXIT_OK
 
 

@@ -45,15 +45,6 @@ class ClassClusterDescription:
     coverage: frozenset[str]
 
 
-@dataclass(frozen=True)
-class MiningConfig:
-    parallelism: int = 1
-
-    def __post_init__(self):
-        if self.parallelism < 1:
-            raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
-
-
 # ----------------------------------------------------------------------------
 # negative checking
 # ----------------------------------------------------------------------------
@@ -325,7 +316,7 @@ def _usable_cpus() -> int:
 # ----------------------------------------------------------------------------
 
 def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
-              config: MiningConfig = MiningConfig(),
+              parallelism: int = 1,
               index: NegativeAttributeIndex | None = None,
               ) -> list[ClassClusterDescription]:
     """Mine candidate class descriptions from one class versus the rest.
@@ -339,8 +330,11 @@ def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
     the negatives in the given order (``Dataset.split`` keeps dataset order,
     so an index over ``dataset.samples`` serves every class); without it,
     one is built.  Serial and pooled traces share its class view and one
-    ranker over the positives.
+    ranker over the positives.  ``parallelism`` caps the worker processes
+    (``ConfigError`` below 1).
     """
+    if parallelism < 1:
+        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     if not positives:
         raise ValueError("cannot mine from an empty positive set")
     labels = {p.label for p in positives}
@@ -376,7 +370,7 @@ def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
 
     # A process pool starts all its workers at the first submit, so never
     # ask for more than there are CPUs to run them or seeds to trace.
-    workers = min(config.parallelism, _usable_cpus(), len(seeds))
+    workers = min(parallelism, _usable_cpus(), len(seeds))
     if workers > 1:
         chunk = max(1, len(seeds) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 from .asd import ASD, subsumes
 from .data import Dataset
 from .errors import ConfigError, DatasetValidationError, Diagnostic
-from .mining import (ClassClusterDescription, MiningConfig, NegativeAttributeIndex,
-                     SelectionStep, check_ccd, mine_ccds, select_ccds)
+from .mining import (ClassClusterDescription, NegativeAttributeIndex, SelectionStep,
+                     check_ccd, mine_ccds, select_ccds)
 from .prototypes import PrototypeRecord, distance_metric_select, find_prototype
 
 
@@ -36,19 +36,19 @@ def equivalent(a: ASD, b: ASD) -> bool:
 def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
                  max_prototypes: int | None = None, metric: str = "edit",
                  unmatched_cost: str = "attrs",
-                 mining: MiningConfig | None = None,
+                 parallelism: int = 1,
                  ground_truth: dict[str, ASD] | None = None) -> PipelineResult:
     """Mine rules and prototypes for every class (or one chosen class).
 
     ``max_prototypes`` caps the rules (and hence prototypes) per class; absent,
     rules are picked until every positive is covered or no candidate helps.
-    With ``ground_truth``, each class's top rule is compared for mutual
+    ``parallelism`` caps the mining worker processes per class.  With
+    ``ground_truth``, each class's top rule is compared for mutual
     subsumption against the known rule.
     """
     if max_prototypes is not None and max_prototypes < 0:
         raise ConfigError(f"max_prototypes must be >= 0, got {max_prototypes}")
     distance_metric_select(metric, unmatched_cost)  # ConfigError for unknown names
-    config = mining if mining is not None else MiningConfig()
     labels = dataset.labels()
     if class_filter is not None:
         if class_filter not in dataset.label_index:
@@ -63,7 +63,7 @@ def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
     index = NegativeAttributeIndex(dataset.samples)
     for label in labels:
         positives, negatives = dataset.split(label)
-        candidates = mine_ccds(positives, negatives, config, index=index)
+        candidates = mine_ccds(positives, negatives, parallelism, index=index)
         # Independent soundness re-check, naive scan only.
         for candidate in candidates:
             if not check_ccd(candidate.asd, negatives):  # pragma: no cover

@@ -8,14 +8,88 @@ clock time never enter the report body, so identical runs are byte-identical.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Iterable
 
 from .data import Dataset
+from .errors import ConfigError, SemprotoError
 from .pipeline import ClassResult, PipelineResult
 from .prototypes import PrototypeRecord
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "semproto"
+
+# The definition of report schema 1: every field, in the order build_report
+# writes it.  A field's type is one of the scalar kinds of _KINDS (a trailing
+# "?" also allows null), a one-item list [T] for a list of T, or a dict for
+# an object with those fields.  Readers ignore fields the table does not name.
+_ENTITY = ["string"]
+REPORT_FIELDS = {
+    "schemaVersion": "integer",
+    "metadata": {
+        "tool": "string",
+        "version": "string",
+        "dataset": "string",
+        "datasetSha256": "string",
+        "flags": {
+            "classFilter": "string?",
+            "maxPrototypes": "integer?",
+            "distance": "string",
+            "unmatchedCost": "string",
+            "seed": "integer",
+        },
+    },
+    "warnings": ["string"],
+    "classes": [{
+        "label": "string",
+        "positives": "integer",
+        "minedCandidates": "integer",
+        "ccds": [{
+            "asd": [_ENTITY],
+            "ruleText": "string",
+            "coverageCount": "integer",
+            "coverageFraction": "number",
+            "newlyCovered": "integer",
+            "cumulativeCovered": "integer",
+        }],
+        "uncovered": ["string"],
+        "ruleRecovered": "boolean?",
+        "prototypes": [{
+            "sampleId": "string",
+            "ccdIndex": "integer",
+            "metric": "string",
+            "distance": "number",
+            "feasibleInjective": "boolean",
+            "editTotal": "integer",
+            "matched": [{
+                "ruleEntity": _ENTITY,
+                "sampleEntityIndex": "integer",
+                "insertions": "integer",
+                "sampleEntity": _ENTITY,
+                "extraAttributes": _ENTITY,
+            }],
+            "unmatchedEntities": [{
+                "sampleEntityIndex": "integer",
+                "cost": "integer",
+                "entity": _ENTITY,
+            }],
+            "runnersUp": [{
+                "sampleId": "string",
+                "distance": "number",
+            }],
+            "sampleAsd": [_ENTITY],
+        }],
+    }],
+}
+
+# JSON booleans load as Python bools, which are ints: a bool is never an
+# integer or a number here.
+_KINDS = {
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+}
 
 
 # ----------------------------------------------------------------------------
@@ -24,8 +98,14 @@ TOOL_NAME = "semproto"
 
 def build_report(result: PipelineResult, dataset: Dataset, *,
                  dataset_path: str, dataset_sha256: str, version: str,
-                 flags: dict) -> dict:
-    """Assemble the JSON-ready report for a finished pipeline run."""
+                 class_filter: str | None, max_prototypes: int | None,
+                 distance: str, unmatched_cost: str, seed: int) -> dict:
+    """Assemble the JSON-ready report for a finished pipeline run.
+
+    The flags echo holds the options that shape the result, and ``seed``;
+    runtime knobs (parallelism) and wall clock stay out, so identical inputs
+    give byte-identical reports.
+    """
     classes = [_class_block(c, dataset) for c in result.classes]
     return {
         "schemaVersion": SCHEMA_VERSION,
@@ -34,7 +114,13 @@ def build_report(result: PipelineResult, dataset: Dataset, *,
             "version": version,
             "dataset": dataset_path,
             "datasetSha256": dataset_sha256,
-            "flags": flags,
+            "flags": {
+                "classFilter": class_filter,
+                "maxPrototypes": max_prototypes,
+                "distance": distance,
+                "unmatchedCost": unmatched_cost,
+                "seed": seed,
+            },
         },
         "warnings": list(result.warnings),
         "classes": classes,
@@ -99,6 +185,86 @@ def serialize_report(report: dict) -> str:
 
 
 # ----------------------------------------------------------------------------
+# reading
+# ----------------------------------------------------------------------------
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    for kind, is_kind in _KINDS.items():
+        if is_kind(value):
+            return kind
+    return "list" if isinstance(value, list) else "object"
+
+
+def _check(value, spec, path: str, problems: list[str]) -> None:
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            problems.append(f"{path}: expected object, got {_json_type(value)}")
+            return
+        for name, field in spec.items():
+            if name in value:
+                _check(value[name], field, f"{path}.{name}", problems)
+            else:
+                problems.append(f"{path}.{name}: missing")
+    elif isinstance(spec, list):
+        if not isinstance(value, list):
+            problems.append(f"{path}: expected list, got {_json_type(value)}")
+            return
+        for i, item in enumerate(value):
+            _check(item, spec[0], f"{path}[{i}]", problems)
+    else:
+        kind = spec.rstrip("?")
+        if not (_KINDS[kind](value) or (value is None and spec.endswith("?"))):
+            expected = f"{kind} or null" if spec.endswith("?") else kind
+            problems.append(f"{path}: expected {expected}, got {_json_type(value)}")
+
+
+def check_report(report) -> list[str]:
+    """Every departure of a parsed report from schema 1, as ``JSON path:
+    problem`` lines; empty when the report conforms.
+
+    Besides the field types of REPORT_FIELDS, each prototype's ``ccdIndex``
+    must index its class's ``ccds``, the one index the renderers follow.
+    That range check runs once every type is right.
+    """
+    problems: list[str] = []
+    _check(report, REPORT_FIELDS, "$", problems)
+    if problems:
+        return problems
+    for i, block in enumerate(report["classes"]):
+        rules = len(block["ccds"])
+        for j, proto in enumerate(block["prototypes"]):
+            if not 0 <= proto["ccdIndex"] < rules:
+                problems.append(f"$.classes[{i}].prototypes[{j}].ccdIndex: expected "
+                                f"0 <= ccdIndex < {rules}, got {proto['ccdIndex']}")
+    return problems
+
+
+def read_report(path: str | Path) -> dict:
+    """Read a JSON report and check it against schema 1.
+
+    Raises ``SemprotoError`` with a one-line message when the file cannot be
+    read or parsed, carries another ``schemaVersion``, or fails
+    ``check_report`` (the first problem is named).
+    """
+    path = Path(path)
+    try:
+        # ValueError covers text that is not UTF-8 and text that is not JSON;
+        # RecursionError, JSON nested too deep to parse.
+        report = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise SemprotoError(f"cannot read report {path}: {exc}") from exc
+    if isinstance(report, dict) and report.get("schemaVersion") != SCHEMA_VERSION:
+        raise SemprotoError(f"unsupported report schema {report.get('schemaVersion')!r}")
+    problems = check_report(report)
+    if problems:
+        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise SemprotoError(f"malformed report {path}: {problems[0]}{more}")
+    return report
+
+
+# ----------------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------------
 
@@ -116,9 +282,9 @@ def render_markdown(report: dict) -> str:
     lines = ["# Class description report", ""]
     lines.append(f"- dataset: `{meta['dataset']}` (sha256 `{meta['datasetSha256'][:16]}...`)")
     flags = meta["flags"]
-    lines.append(f"- distance: {flags.get('distance')} "
-                 f"(unmatched cost: {flags.get('unmatchedCost')})")
-    if flags.get("maxPrototypes") is not None:
+    lines.append(f"- distance: {flags['distance']} "
+                 f"(unmatched cost: {flags['unmatchedCost']})")
+    if flags["maxPrototypes"] is not None:
         lines.append(f"- rules per class: at most {flags['maxPrototypes']}")
     lines.append("")
     for warning in report["warnings"]:
@@ -172,12 +338,16 @@ def _breakdown_lines(proto: dict, indent: str = "") -> list[str]:
 
 
 def render_explanation(report: dict, sample_id: str) -> str:
-    """Full plain-text explanation for one prototype sample."""
+    """Full plain-text explanation for one prototype sample.
+
+    ``report`` must pass ``check_report``; a ``sample_id`` that is not one of
+    its prototypes raises ``ConfigError``.
+    """
     for block in report["classes"]:
         for proto in block["prototypes"]:
             if proto["sampleId"] == sample_id:
                 return _explanation_text(report, block, proto)
-    raise ValueError(f"sample {sample_id!r} is not a prototype in this report")
+    raise ConfigError(f"sample {sample_id!r} is not a prototype in this report")
 
 
 def _explanation_text(report: dict, block: dict, proto: dict) -> str:

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from semproto import ASD
+from semproto.report import REPORT_FIELDS, check_report
 
 settings.register_profile(
     "semproto",
@@ -70,3 +71,20 @@ def common_generalizations(draw):
         keep = draw(st.integers(0, (1 << both.bit_length()) - 1 if both else 0))
         entities.append(both & keep)
     return ASD(tuple(entities)), z1, z2
+
+
+def assert_schema_1(report: dict) -> None:
+    """A report the writer produced passes check_report, and every object in
+    it holds exactly the schema table's fields, in the table's order."""
+    assert check_report(report) == []
+
+    def walk(value, spec):
+        if isinstance(spec, dict):
+            assert list(value) == list(spec)
+            for name, field in spec.items():
+                walk(value[name], field)
+        elif isinstance(spec, list):
+            for item in value:
+                walk(item, spec[0])
+
+    walk(report, REPORT_FIELDS)

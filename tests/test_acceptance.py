@@ -7,12 +7,14 @@ measure people, not this implementation.  The property batteries here are
 the stand-in.
 """
 
+import json
 import math
 import random
 import time
 
 import pytest
 
+from conftest import assert_schema_1
 from semproto import (
     ASD,
     GeneratorConfig,
@@ -213,6 +215,7 @@ def test_criterion_8_parallel_determinism(clevr, tmp_path):
                    "--output", str(out)])
         assert rc == 0
         outputs[workers] = (out.read_bytes(), out.with_suffix(".md").read_bytes())
+        assert_schema_1(json.loads(outputs[workers][0]))
     assert outputs[1][0] == outputs[8][0], "JSON reports differ across parallelism"
     assert outputs[1][1] == outputs[8][1], "markdown reports differ across parallelism"
     assert len(outputs[1][0]) > 1000

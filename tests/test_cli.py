@@ -1,11 +1,15 @@
 """End-to-end command line flows, exit codes, and report schema."""
 
+import copy
 import hashlib
 import json
 
 import pytest
 
+from conftest import assert_schema_1
+from semproto import report as report_module
 from semproto.cli import EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, main
+from semproto.report import REPORT_FIELDS, check_report
 
 TINY_DATASET = "\n".join([
     '{"id": "a1", "label": "classA", "asd": [["A", "B"]]}',
@@ -25,7 +29,9 @@ def run_report(tmp_path, dataset, *extra):
     out = tmp_path / "report.json"
     rc = main(["run", "--dataset", str(dataset), "--output", str(out), *extra])
     assert rc == EXIT_OK
-    return json.loads(out.read_text()), out
+    report = json.loads(out.read_text())
+    assert_schema_1(report)
+    return report, out
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +139,10 @@ def _first_prototype_edited(edit):
     _first_prototype_edited(
         lambda p: p["unmatchedEntities"].append({"sampleEntityIndex": 1, "cost": 2})),
     _first_prototype_edited(lambda p: p.pop("sampleAsd")),
+    b"[" * 100_000,
 ], ids=["not-utf8", "not-an-object", "no-classes", "prototype-without-matched",
         "match-without-sampleEntity", "match-without-extraAttributes",
-        "unmatched-without-entity", "prototype-without-sampleAsd"])
+        "unmatched-without-entity", "prototype-without-sampleAsd", "nested-too-deep"])
 def test_explain_rejects_malformed_reports(content, tiny_dataset, tmp_path, capsys):
     report, out = run_report(tmp_path, tiny_dataset)
     if callable(content):
@@ -147,6 +154,144 @@ def test_explain_rejects_malformed_reports(content, tiny_dataset, tmp_path, caps
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "report" in err
     assert "Traceback" not in err
+
+
+def _schema_fields(spec=REPORT_FIELDS, path=()):
+    """(path, type) of every named field of schema 1; list items at index 0."""
+    if isinstance(spec, dict):
+        for name, field in spec.items():
+            yield path + (name,), field
+            yield from _schema_fields(field, path + (name,))
+    elif isinstance(spec, list):
+        yield from _schema_fields(spec[0], path + (0,))
+
+
+def _json_path(path):
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def _example(spec):
+    if isinstance(spec, dict):
+        return {name: _example(field) for name, field in spec.items()}
+    if isinstance(spec, list):
+        return [_example(spec[0])]
+    return {"string": "x", "integer": 0, "number": 0.5, "boolean": True}[spec.rstrip("?")]
+
+
+def _fill_empty_lists(value, spec):
+    if isinstance(spec, dict):
+        for name, field in spec.items():
+            _fill_empty_lists(value[name], field)
+    elif isinstance(spec, list):
+        if not value:
+            value.append(_example(spec[0]))
+        for item in value:
+            _fill_empty_lists(item, spec[0])
+
+
+# A wrong value per type; a bool is never an integer or a number.
+_WRONG = {"string": 1, "integer": True, "number": True, "boolean": 0}
+SCHEMA_FIELDS = list(_schema_fields())
+
+
+@pytest.fixture(scope="module")
+def full_report(tmp_path_factory):
+    """A report written by run, with every empty list given one valid item,
+    so that every field of the schema table occurs in it."""
+    tmp = tmp_path_factory.mktemp("full")
+    dataset = tmp / "tiny.jsonl"
+    dataset.write_text(TINY_DATASET)
+    report, _ = run_report(tmp, dataset)
+    _fill_empty_lists(report, REPORT_FIELDS)
+    assert check_report(report) == []
+    full = tmp / "full.json"
+    full.write_text(json.dumps(report))
+    assert main(["explain", "--report", str(full), "--sample", "a1"]) == EXIT_OK
+    return report
+
+
+@pytest.mark.parametrize("edit", ["delete", "retype"])
+@pytest.mark.parametrize("path, field", SCHEMA_FIELDS,
+                         ids=[_json_path(path) for path, _ in SCHEMA_FIELDS])
+def test_explain_rejects_each_schema_field_missing_or_retyped(
+        full_report, path, field, edit, tmp_path, capsys):
+    report = copy.deepcopy(full_report)
+    parent = report
+    for key in path[:-1]:
+        parent = parent[key]
+    if edit == "delete":
+        del parent[path[-1]]
+    elif isinstance(field, str):
+        parent[path[-1]] = _WRONG[field.rstrip("?")]
+    else:
+        parent[path[-1]] = {} if isinstance(field, list) else []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["explain", "--report", str(bad), "--sample", "a1"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    if path == ("schemaVersion",) and edit == "delete":
+        assert "unsupported report schema None" in err
+    else:
+        problem = "missing" if edit == "delete" else "expected "
+        assert f"malformed report {bad}: {_json_path(path)}: {problem}" in err
+
+
+@pytest.mark.parametrize("ccd_index", [-1, "rules", True], ids=["-1", "len-ccds", "true"])
+def test_explain_rejects_ccd_index_outside_its_rules(ccd_index, full_report, tmp_path,
+                                                     capsys):
+    report = copy.deepcopy(full_report)
+    block = report["classes"][0]
+    block["prototypes"][0]["ccdIndex"] = (len(block["ccds"]) if ccd_index == "rules"
+                                          else ccd_index)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["explain", "--report", str(bad), "--sample", "a1"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "$.classes[0].prototypes[0].ccdIndex: expected " in err
+
+
+def test_explain_renderer_bug_is_an_internal_error(tiny_dataset, tmp_path, monkeypatch,
+                                                  capsys):
+    """A renderer that fails on a valid report is a bug: exit 3 with a
+    traceback, never a "malformed report"."""
+    _, out = run_report(tmp_path, tiny_dataset)
+
+    def broken(report, block, proto):
+        return proto["no such field"]
+
+    monkeypatch.setattr(report_module, "_explanation_text", broken)
+    capsys.readouterr()
+    assert main(["explain", "--report", str(out), "--sample", "a1"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "KeyError" in err
+    assert "malformed" not in err
+
+
+def test_writer_keys_follow_the_schema_table():
+    """Every object build_report writes holds the table's fields in the
+    table's order, runner-up entries included (run never asks for them)."""
+    from semproto import GeneratorConfig, find_prototype, generate_clevr_hans3, run_pipeline
+    from semproto.report import build_report, serialize_report
+
+    dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=12,
+                                                      objects_max=5, seed=3))
+    result = run_pipeline(dataset, max_prototypes=2)
+    for c in result.classes:
+        positives, _ = dataset.split(c.label)
+        c.prototypes = [find_prototype(step.ccd, positives, runners_up=2)
+                        for step in c.selection]
+    report = json.loads(serialize_report(build_report(
+        result, dataset, dataset_path="d.jsonl", dataset_sha256="0" * 64,
+        version="0.0.0", class_filter=None, max_prototypes=2, distance="edit",
+        unmatched_cost="attrs", seed=0)))
+    prototypes = [p for c in report["classes"] for p in c["prototypes"]]
+    assert any(p["runnersUp"] for p in prototypes)
+    assert any(p["unmatchedEntities"] for p in prototypes)
+    assert_schema_1(report)
 
 
 # Pinned digests of the reports for a fixed generated scene set.  Any change
@@ -172,6 +317,7 @@ def test_golden_reports_on_generated_scenes(tmp_path, monkeypatch, capsys):
                "--ground-truth", "scenes.rules.jsonl"])
     assert rc == EXIT_OK
     capsys.readouterr()
+    assert_schema_1(json.loads((tmp_path / "report.json").read_text()))
     digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
               for name in ("report.json", "report.md")}
     assert digest == {"report.json": GOLDEN_JSON_SHA256,
@@ -227,6 +373,31 @@ def test_run_negative_max_prototypes(tiny_dataset, tmp_path, capsys):
     assert rc == EXIT_VALIDATION
     assert "max_prototypes must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_zero_parallelism(tiny_dataset, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    rc = main(["run", "--dataset", str(tiny_dataset), "--output", str(out),
+               "--parallelism", "0"])
+    assert rc == EXIT_VALIDATION
+    assert "parallelism must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("output", ["r.md", ""], ids=["md-suffix", "empty"])
+def test_run_rejects_an_output_path_without_a_json_name(output, tmp_path, monkeypatch,
+                                                        capsys):
+    """The markdown report goes to --output with the suffix .md, so an
+    --output ending in .md would be overwritten by it, and an empty one has
+    no name to take a suffix.  The path is checked before the dataset is
+    read (here it does not exist) and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    rc = main(["run", "--dataset", "missing.jsonl", "--output", output])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --output ")
+    assert ".md" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_unwritable_output_is_internal(tiny_dataset, tmp_path):

@@ -12,7 +12,6 @@ from semproto import (
     ConfigError,
     GeneratorConfig,
     InseparableDataError,
-    MiningConfig,
     NegativeAttributeIndex,
     Sample,
     Vocabulary,
@@ -136,8 +135,9 @@ def test_input_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        MiningConfig(parallelism=0)
+    positives, negatives = worked_instance(Vocabulary())
+    with pytest.raises(ConfigError, match="parallelism must be >= 1"):
+        mine_ccds(positives, negatives, parallelism=0)
 
 
 @pytest.mark.parametrize("options", [
@@ -231,7 +231,7 @@ def test_parallel_mining_matches_serial(monkeypatch):
         index = NegativeAttributeIndex(samples)
         assert mine_ccds(positives, negatives, index=index) == serial
         for workers in (2, 4):
-            parallel = mine_ccds(positives, negatives, MiningConfig(parallelism=workers),
+            parallel = mine_ccds(positives, negatives, workers,
                                  index=index)
             assert parallel == serial
 
@@ -266,7 +266,7 @@ def test_pool_size_is_capped_by_cpus_and_seeds(monkeypatch):
     seeds = len({p.asd for p in positives})
     assert seeds > 3
     serial = mine_ccds(positives, negatives)
-    huge = MiningConfig(parallelism=10**6)
+    huge = 10**6
 
     def mined_with(affinity, cpu_count):
         if affinity is None:
@@ -288,14 +288,14 @@ def test_pool_size_is_capped_by_cpus_and_seeds(monkeypatch):
 
 SPAWN_SCRIPT = """
 import multiprocessing
-from semproto import GeneratorConfig, MiningConfig, generate_clevr_hans3, mining, run_pipeline
+from semproto import GeneratorConfig, generate_clevr_hans3, mining, run_pipeline
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
     mining._usable_cpus = lambda: 2  # run the pool even on a one-CPU host
     dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=8,
                                                       objects_max=4, seed=3))
-    runs = [run_pipeline(dataset, max_prototypes=0, mining=MiningConfig(parallelism=p))
+    runs = [run_pipeline(dataset, max_prototypes=0, parallelism=p)
             for p in (1, 2)]
     serial, parallel = ([c.candidates for c in run.classes] for run in runs)
     assert all(serial) and serial == parallel, "parallel candidates differ"
@@ -528,7 +528,7 @@ def test_run_pipeline_builds_one_index(monkeypatch):
     monkeypatch.setattr(NegativeAttributeIndex, "__init__", counting_init)
     dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=10,
                                                       objects_max=5, seed=3))
-    result = run_pipeline(dataset, mining=MiningConfig(parallelism=1))
+    result = run_pipeline(dataset, parallelism=1)
     assert len(result.classes) == 3
     assert len(builds) == 1
 
