@@ -4,7 +4,9 @@ Each positive sample seeds one candidate: starting from the seed's own
 description, the remaining positives are visited most-similar first and
 greedily merged in, keeping a merge only when the generalized description
 still describes no negative sample.  The surviving candidates are deduplicated
-and a greedy maximum-coverage pass picks the final rule set.
+and a greedy maximum-coverage pass picks the final rule set.  A class's traces
+share their work through a memo of the states they pass through (see
+``_trace``).
 """
 from __future__ import annotations
 
@@ -71,6 +73,7 @@ class NegativeAttributeIndex:
     def __init__(self, samples: Sequence[Sample]):
         self._ids = [s.id for s in samples]
         self._all = (1 << len(samples)) - 1
+        self._bytes = -(-len(samples) // 8)
         self.negatives = self._all
         labelled: dict[str, list[int]] = {}
         holding: dict[int, list[int]] = {}
@@ -78,6 +81,7 @@ class NegativeAttributeIndex:
             labelled.setdefault(sample.label, []).append(pos)
             for e in sample.asd.entities:
                 holding.setdefault(e, []).append(pos)
+        self._labelled = labelled
         self._label_bits = {label: _bitset(ps) for label, ps in labelled.items()}
         self._holders = [_bitset(positions) for positions in holding.values()]
         self._all_entities = (1 << len(holding)) - 1
@@ -100,6 +104,11 @@ class NegativeAttributeIndex:
     def labelled(self, label: str) -> int:
         """Bitset of the sample positions labelled ``label``."""
         return self._label_bits.get(label, 0)
+
+    def members(self, label: str) -> dict[str, int]:
+        """Sample position of each id labelled ``label``."""
+        ids = self._ids
+        return {ids[pos]: pos for pos in self._labelled.get(label, ())}
 
     def _holding(self, g: int) -> int:
         """Bitset of the samples holding a superset of entity ``g``."""
@@ -126,6 +135,13 @@ class NegativeAttributeIndex:
             if not mask:
                 break
         return mask
+
+    def described_at(self, candidate: ASD, positions: np.ndarray) -> np.ndarray:
+        """For each sample position in ``positions``, does the candidate describe it?"""
+        bits = self.described(candidate, self._all)
+        flags = np.unpackbits(np.frombuffer(bits.to_bytes(self._bytes, "little"), np.uint8),
+                              bitorder="little")
+        return flags[positions].astype(bool)
 
     def ids(self, bits: int) -> list[str]:
         """Ids of the samples flagged in ``bits``, in sample order."""
@@ -255,18 +271,33 @@ def _sort_by_similarity(remaining: np.ndarray, reference: ASD,
 # seed traces
 # ----------------------------------------------------------------------------
 
-def _trace(seed: int, index: NegativeAttributeIndex, ranker: SimilarityRanker) -> ASD:
+def _trace(seed: int, index: NegativeAttributeIndex, ranker: SimilarityRanker,
+           positions: np.ndarray, memo: dict[tuple[ASD, bytes], ASD]) -> ASD:
     """Run one seed's greedy generalization and return its final description.
 
-    ``seed`` is the ranker position of the seed.  ``remaining`` flags, by
+    ``seed`` is the ranker position of the seed, and ``positions[r]`` the
+    index sample position of ranker position ``r``.  ``remaining`` flags, by
     ranker position, the positives still to visit (at first, all but the
     seed); an accepted merge clears the flags of those visited before it.
+
+    After the first accepted merge the description is an antichain (``merge``
+    and ``trimmed`` return one).  Visiting a positive that an antichain
+    describes changes nothing, and stays a no-op under every later
+    generalization, because subsumption is transitive.  So each accepted merge
+    also clears every positive the description describes, and the rest of the
+    trace depends only on ``(description, remaining)``.  ``memo`` maps such
+    states, from earlier traces of the same class, to their final description;
+    a trace that reaches one stops there, and every state it passed through is
+    recorded.  Before the first accepted merge neither applies: a seed that is
+    not an antichain is replaced by its trimmed form when it visits a positive
+    it describes.
     """
     remaining = np.ones(len(ranker.asds), dtype=bool)
     remaining[seed] = False
     description = ranker.asds[seed]
     queue = _sort_by_similarity(remaining, description, ranker)
     visited = 0
+    passed = []
     while visited < len(queue):
         candidate = ranker.asds[queue[visited]]
         visited += 1
@@ -279,29 +310,50 @@ def _trace(seed: int, index: NegativeAttributeIndex, ranker: SimilarityRanker) -
         if generalized != description and index.first_described(generalized) is None:
             description = generalized
             remaining[queue[:visited]] = False
+            remaining[index.described_at(description, positions)] = False
+            state = (description, remaining.tobytes())
+            final = memo.get(state)
+            if final is not None:
+                description = final
+                break
+            passed.append(state)
             queue = _sort_by_similarity(remaining, description, ranker)
             visited = 0
+    for state in passed:
+        memo[state] = description
     return description
 
 
-# Worker-side state for parallel mining: the class index and ranker that
-# mine_ccds built, inherited under fork and pickled once per worker otherwise.
-# "positives" lists (id, ASD) pairs for perfbench/spans.py, which reads it.
+def _trace_seeds(seeds: Sequence[int], index: NegativeAttributeIndex,
+                 ranker: SimilarityRanker, positions: np.ndarray) -> list[ASD]:
+    """Final descriptions of the given seeds' traces, which share one fresh memo."""
+    memo: dict[tuple[ASD, bytes], ASD] = {}
+    return [_trace(seed, index, ranker, positions, memo) for seed in seeds]
+
+
+# Worker-side state for parallel mining: what mine_ccds built for the class,
+# inherited under fork and pickled once per worker otherwise.  "positives"
+# lists (id, ASD) pairs for perfbench/spans.py, which reads it.
 _POOL_STATE: dict | None = None
 
 
-def _pool_init(index: NegativeAttributeIndex, ranker: SimilarityRanker) -> None:
+def _pool_init(index: NegativeAttributeIndex, ranker: SimilarityRanker,
+               positions: np.ndarray) -> None:
     global _POOL_STATE
     _POOL_STATE = {
         "positives": list(zip(ranker.ids, ranker.asds)),
         "index": index,
         "ranker": ranker,
+        "positions": positions,
     }
 
 
-def _pool_trace(seed: int) -> tuple[int, ...]:
+def _pool_trace(seeds: list[int]) -> list[tuple[int, ...]]:
+    """Trace one fixed chunk of seeds.  Its memo starts empty, so what the
+    chunk does never depends on which worker ran the chunks before it."""
     assert _POOL_STATE is not None
-    return _trace(seed, _POOL_STATE["index"], _POOL_STATE["ranker"]).entities
+    return [asd.entities for asd in _trace_seeds(
+        seeds, _POOL_STATE["index"], _POOL_STATE["ranker"], _POOL_STATE["positions"])]
 
 
 def _usable_cpus() -> int:
@@ -329,9 +381,11 @@ def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
     ``index`` is an index over exactly the positives and the negatives, with
     the negatives in the given order (``Dataset.split`` keeps dataset order,
     so an index over ``dataset.samples`` serves every class); without it,
-    one is built.  Serial and pooled traces share its class view and one
-    ranker over the positives.  ``parallelism`` caps the worker processes
-    (``ConfigError`` below 1).
+    one is built.  ``ValueError`` if its size differs or its samples of this
+    label are not the positives.  Serial and pooled traces share its class
+    view and one ranker over the positives.  ``parallelism`` caps the worker
+    processes (``ConfigError`` below 1); the pool traces fixed chunks of
+    seeds, each with its own memo.
     """
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
@@ -352,7 +406,8 @@ def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
 
     if index is None:
         index = NegativeAttributeIndex([*positives, *negatives])
-    elif len(index) != len(positives) + len(negatives):
+    where = index.members(label)
+    if len(index) != len(positives) + len(negatives) or where.keys() != positive_ids:
         raise ValueError("the index does not cover exactly the positives and negatives")
     index = index.for_class(label)
     for p in positives:
@@ -367,18 +422,20 @@ def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
     for seed in ranker._by_id.tolist():
         unique.setdefault(ranker.asds[seed], seed)
     seeds = list(unique.values())
+    positions = np.array([where[sid] for sid in ranker.ids.tolist()], dtype=np.intp)
 
     # A process pool starts all its workers at the first submit, so never
     # ask for more than there are CPUs to run them or seeds to trace.
     workers = min(parallelism, _usable_cpus(), len(seeds))
     if workers > 1:
-        chunk = max(1, len(seeds) // (workers * 4))
+        size = -(-len(seeds) // (workers * 4))
+        chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=(index, ranker)) as pool:
+                                 initargs=(index, ranker, positions)) as pool:
             raw = [ASD(entities)
-                   for entities in pool.map(_pool_trace, seeds, chunksize=chunk)]
+                   for chunk in pool.map(_pool_trace, chunks) for entities in chunk]
     else:
-        raw = [_trace(seed, index, ranker) for seed in seeds]
+        raw = _trace_seeds(seeds, index, ranker, positions)
 
     # Every accepted merge passed the index check inside its trace; the one
     # naive soundness scan runs in pipeline.run_pipeline.

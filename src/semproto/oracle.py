@@ -5,7 +5,10 @@ only shared vocabulary is the domain types (descriptions as tuples of entity
 bitmasks).  Subset tests, costs, and matchings are recomputed from first
 principles by exhaustive enumeration, so these functions can act as oracles
 for the optimized implementations in property and acceptance tests.  Budgets
-keep the enumeration small enough to finish in seconds.
+keep the enumeration small enough to finish in seconds.  ``scalar_mine`` is
+the reference for mining: the miner's greedy traces run with the scalar
+``asd`` operations only, and with none of the miner's index, ranker, seed
+dedupe or trace memo.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .asd import ASD
+from .asd import ASD, merge, similarity, subsumes
 from .errors import BudgetError
 
 
@@ -113,6 +116,40 @@ def oracle_coverage_opt(coverages: Sequence[frozenset], k: int,
         if len(union) > best:
             best = len(union)
     return best
+
+
+# ----------------------------------------------------------------------------
+# mining by plain greedy traces
+# ----------------------------------------------------------------------------
+
+def scalar_mine(positives: Sequence, negatives: Sequence) -> list[ASD]:
+    """Final descriptions of every seed's greedy trace, deduplicated and in
+    canonical order, as ``mining.mine_ccds`` should find them.
+
+    Samples need only ``id`` and ``asd``.  Each positive seeds a trace, twins
+    included; the positives not yet visited are sorted by the scalar
+    ``similarity`` (ties by id), and a merge is kept when it changes the
+    description and a naive scan finds no negative it describes.
+    """
+    def order(items, reference):
+        return sorted(items, key=lambda it: (-similarity(reference, it.asd), it.id))
+
+    raw = set()
+    for seed in positives:
+        description = seed.asd
+        remaining = order([p for p in positives if p.id != seed.id], description)
+        while remaining:
+            candidate = remaining.pop(0).asd
+            if subsumes(description, candidate):
+                generalized = description.trimmed
+            else:
+                generalized = merge(description, candidate)
+            if generalized != description and not any(subsumes(generalized, n.asd)
+                                                      for n in negatives):
+                description = generalized
+                remaining = order(remaining, description)
+        raw.add(description)
+    return sorted(raw, key=lambda a: a.sort_key)
 
 
 # ----------------------------------------------------------------------------

@@ -11,9 +11,9 @@ import random
 from typing import Callable
 
 from .asd import ASD, merge, similarity, subsumes
-from .mining import greedy_cover
+from .mining import Sample, greedy_cover, mine_ccds
 from .oracle import (OracleBudget, oracle_coverage_opt, oracle_edit_distance,
-                     random_asds, subsuming_pairs)
+                     random_asds, scalar_mine, subsuming_pairs)
 from .prototypes import edit_distance
 
 Battery = tuple[str, int, int]  # name, cases, failures
@@ -103,12 +103,32 @@ def battery_greedy_coverage(cases: int, seed: int,
     return ("greedy-coverage-bound", cases, failures)
 
 
+def battery_mining_traces(cases: int, seed: int) -> Battery:
+    """mine_ccds, with its index, ranker, seed dedupe and trace memo, finds
+    the candidates of the plain scalar traces; some positives have twins."""
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(cases):
+        n_pos, n_neg = rng.randint(1, 12), rng.randint(0, 6)
+        asds = list(random_asds(rng.randrange(1 << 32), n_pos + n_neg, max_entities=3,
+                                max_entity_size=3, vocab_size=rng.choice((8, 70))))
+        positives = [Sample(f"p{i:02d}", "pos", a) for i, a in enumerate(asds[:n_pos])]
+        positives += [Sample(p.id + "-twin", "pos", p.asd) for p in positives[::3]]
+        negatives = [Sample(f"n{i:02d}", "neg", a) for i, a in enumerate(asds[n_pos:])
+                     if not any(subsumes(p.asd, a) for p in positives)]
+        if [c.asd for c in mine_ccds(positives, negatives)] != scalar_mine(positives,
+                                                                          negatives):
+            failures += 1
+    return ("mining-scalar-traces", cases, failures)
+
+
 ALL_BATTERIES: list[Callable[[int, int], Battery]] = [
     battery_merge_generalizes,
     battery_merge_most_specific,
     battery_similarity,
     battery_edit_oracle,
     battery_greedy_coverage,
+    battery_mining_traces,
 ]
 
 

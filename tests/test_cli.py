@@ -510,7 +510,7 @@ def test_selftest_command(capsys):
     assert main(["selftest", "--budget", "25"]) == EXIT_OK
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert all(line.startswith("PASS") for line in lines)
 
 

@@ -26,7 +26,9 @@ from semproto import (
     similarity,
     subsumes,
 )
+from semproto import mining, oracle
 from semproto.mining import SimilarityRanker, _sort_by_similarity
+from semproto.oracle import scalar_mine
 from semproto.selftest import battery_greedy_coverage
 
 
@@ -236,19 +238,13 @@ def test_parallel_mining_matches_serial(monkeypatch):
             assert parallel == serial
 
 
-def test_pool_size_is_capped_by_cpus_and_seeds(monkeypatch):
-    """--parallelism N asks for at most min(N, usable CPUs, seeds) workers and
-    runs serially when that is 1.  A stand-in pool records its size and maps
-    in-process, so this starts no process."""
-    import os
-
-    from semproto import mining
-
-    sizes = []
-
+def in_process_pool(log):
+    """A stand-in for ProcessPoolExecutor that runs the initializer and maps
+    in this process, so no process starts.  Each map appends the pool's size
+    and its number of tasks to ``log``."""
     class InProcessPool:
         def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
+            self.max_workers = max_workers
             initializer(*initargs)
 
         def __enter__(self):
@@ -257,10 +253,20 @@ def test_pool_size_is_capped_by_cpus_and_seeds(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
+        def map(self, fn, items):
+            items = list(items)
+            log.append((self.max_workers, len(items)))
             return map(fn, items)
+    return InProcessPool
 
-    monkeypatch.setattr(mining, "ProcessPoolExecutor", InProcessPool)
+
+def test_pool_size_is_capped_by_cpus_and_seeds(monkeypatch):
+    """--parallelism N asks for at most min(N, usable CPUs, seeds) workers and
+    runs serially when that is 1."""
+    import os
+
+    log = []
+    monkeypatch.setattr(mining, "ProcessPoolExecutor", in_process_pool(log))
     monkeypatch.setattr(mining, "_POOL_STATE", None)
     positives, negatives = random_instance(0, n_pos=10, n_neg=5)
     seeds = len({p.asd for p in positives})
@@ -275,9 +281,9 @@ def test_pool_size_is_capped_by_cpus_and_seeds(monkeypatch):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
                                 raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        sizes.clear()
+        log.clear()
         assert mine_ccds(positives, negatives, huge) == serial
-        return list(sizes)
+        return [workers for workers, _ in log]
 
     assert mined_with(affinity=3, cpu_count=64) == [3]
     assert mined_with(affinity=None, cpu_count=10**6) == [seeds]
@@ -390,29 +396,6 @@ def test_ranker_rejects_empty_and_foreign_descriptions():
         ranker.scores(ASD.from_id_sets([[64]]))
 
 
-def scalar_mine(positives, negatives):
-    """The greedy trace of every seed with the scalar similarity sort, as a
-    reference."""
-    def order(items, reference):
-        return sorted(items, key=lambda it: (-similarity(reference, it.asd), it.id))
-
-    raw = set()
-    for seed in positives:
-        description = seed.asd
-        remaining = order([p for p in positives if p.id != seed.id], description)
-        while remaining:
-            candidate = remaining.pop(0).asd
-            if subsumes(description, candidate):
-                generalized = description.trimmed
-            else:
-                generalized = merge(description, candidate)
-            if generalized != description and check_ccd(generalized, negatives):
-                description = generalized
-                remaining = order(remaining, description)
-        raw.add(description)
-    return sorted(raw, key=lambda a: a.sort_key)
-
-
 @given(st.integers(0, 10_000), st.sampled_from([8, 70]))
 @settings(max_examples=60)
 def test_mining_matches_scalar_traces(seed, vocab_size):
@@ -423,6 +406,83 @@ def test_mining_matches_scalar_traces(seed, vocab_size):
                  if not any(subsumes(p.asd, a) for p in positives)]
     assert [c.asd for c in mine_ccds(positives, negatives)] == scalar_mine(positives,
                                                                            negatives)
+
+
+@st.composite
+def mining_inputs(draw):
+    """One class against one or two others over a vocabulary of 8, 64, 65 or
+    300 ids, and every sample in an order unrelated to the ids.
+
+    Attributes come from a small pool that always holds the widest id, so
+    entities nest and merges are often accepted.  One positive is shaped
+    [[A], [A, B]], a seed that is not an antichain; random positives may
+    hold nested or empty entities too, and some have twins under other ids.
+    Negatives that a positive describes are dropped, so the data separate.
+    """
+    width = draw(st.sampled_from([8, 64, 65, 300]))
+    pool = sorted(draw(st.sets(st.integers(0, width - 1), min_size=2, max_size=6))
+                  | {width - 1})
+    entity = st.frozensets(st.sampled_from(pool), max_size=4)
+    descriptions = st.lists(entity, min_size=1, max_size=4).map(ASD.from_id_sets)
+    a, b = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
+    asds = [ASD.from_id_sets([[a], [a, b]])] + draw(st.lists(descriptions, max_size=10))
+    asds += draw(st.lists(st.sampled_from(asds), max_size=4))  # twins
+    rest = draw(st.lists(st.tuples(st.sampled_from("mn"), descriptions), max_size=8))
+    rest = [(label, asd) for label, asd in rest
+            if not any(subsumes(p, asd) for p in asds)]
+    ids = draw(st.permutations([f"s{i:02d}" for i in range(len(asds) + len(rest))]))
+    positives = [Sample(sid, "pos", asd) for sid, asd in zip(ids, asds)]
+    negatives = [Sample(sid, label, asd)
+                 for sid, (label, asd) in zip(ids[len(asds):], rest)]
+    samples = draw(st.permutations(positives + negatives))
+    return positives, negatives, samples
+
+
+@given(mining_inputs())
+@settings(max_examples=200, deadline=None)
+def test_memoized_mining_matches_scalar_mine(case):
+    """The trace memo and the bulk skip of described positives change no
+    candidate, serially or in a pool of more than one chunk."""
+    positives, negatives, samples = case
+    expected = scalar_mine(positives, negatives)
+    serial = mine_ccds(positives, negatives)
+    assert [c.asd for c in serial] == expected
+    for ccd in serial:
+        assert ccd.coverage == {p.id for p in positives if subsumes(ccd.asd, p.asd)}
+    index = NegativeAttributeIndex(samples)
+    assert mine_ccds(positives, negatives, index=index) == serial
+    log = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mining, "ProcessPoolExecutor", in_process_pool(log))
+        patch.setattr(mining, "_usable_cpus", lambda: 2)
+        patch.setattr(mining, "_POOL_STATE", None)
+        assert mine_ccds(positives, negatives, 2, index=index) == serial
+    if len({p.asd for p in positives}) > 1:
+        [(workers, chunks)] = log
+        assert workers == 2 and chunks > 1
+    else:
+        assert log == []
+
+
+def test_trace_memo_saves_merges(monkeypatch):
+    """On scenes without twins, where seed dedupe saves nothing, mine_ccds
+    merges strictly less often than the plain scalar traces."""
+    calls = {mining: 0, oracle: 0}
+
+    def counted(module):
+        def counted_merge(a, b):
+            calls[module] += 1
+            return merge(a, b)
+        return counted_merge
+    monkeypatch.setattr(mining, "merge", counted(mining))
+    monkeypatch.setattr(oracle, "merge", counted(oracle))
+    dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=30, seed=3))
+    for label in dataset.labels():
+        positives, negatives = dataset.split(label)
+        assert len({p.asd for p in positives}) == len(positives)
+        assert [c.asd for c in mine_ccds(positives, negatives)] == scalar_mine(positives,
+                                                                               negatives)
+    assert 0 < calls[mining] < calls[oracle]
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +598,15 @@ def test_mine_ccds_rejects_a_foreign_index():
     positives, negatives = worked_instance(v)
     with pytest.raises(ValueError):
         mine_ccds(positives, negatives, index=NegativeAttributeIndex(negatives))
+    # an index over other samples of the same size
+    positives = [Sample("p1", "pos", ASD.from_id_sets([[0, 1]])),
+                 Sample("p2", "pos", ASD.from_id_sets([[0, 2]]))]
+    negatives = [Sample("n1", "neg", ASD.from_id_sets([[3]]))]
+    foreign = NegativeAttributeIndex([Sample("x1", "pos", ASD.from_id_sets([[0, 1, 2]])),
+                                      Sample("x2", "pos", ASD.from_id_sets([[4]])),
+                                      Sample("x3", "neg", ASD.from_id_sets([[3]]))])
+    with pytest.raises(ValueError, match="does not cover exactly"):
+        mine_ccds(positives, negatives, index=foreign)
 
 
 # ---------------------------------------------------------------------------
