@@ -5,7 +5,7 @@ description, the remaining positives are visited most-similar first and
 greedily merged in, keeping a merge only when the generalized description
 still describes no negative sample.  The surviving candidates are deduplicated
 and a greedy maximum-coverage pass picks the final rule set.  A class's traces
-share their work through a memo of the states they pass through (see
+share their work through a memo of the descriptions they pass through (see
 ``_trace``).
 """
 from __future__ import annotations
@@ -67,11 +67,13 @@ class NegativeAttributeIndex:
     Checks consider only the samples flagged in ``negatives`` (at first,
     every sample).  ``for_class`` returns a view masked to one class's
     negatives that shares the memo, so one index built over a whole dataset
-    serves every class.
+    serves every class.  Sample ids must be unique (``ValueError``).
     """
 
     def __init__(self, samples: Sequence[Sample]):
         self._ids = [s.id for s in samples]
+        if len(set(self._ids)) != len(self._ids):
+            raise ValueError("sample ids must be unique")
         self._all = (1 << len(samples)) - 1
         self._bytes = -(-len(samples) // 8)
         self.negatives = self._all
@@ -91,9 +93,6 @@ class NegativeAttributeIndex:
                 containing.setdefault(a, []).append(k)
         self._attr_entities = {a: _bitset(ks) for a, ks in containing.items()}
         self._memo: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._ids)
 
     def for_class(self, label: str) -> "NegativeAttributeIndex":
         """A view whose negatives are the samples not labelled ``label``."""
@@ -136,9 +135,18 @@ class NegativeAttributeIndex:
                 break
         return mask
 
-    def described_at(self, candidate: ASD, positions: np.ndarray) -> np.ndarray:
-        """For each sample position in ``positions``, does the candidate describe it?"""
-        bits = self.described(candidate, self._all)
+    def described_at(self, candidate: ASD, positions: np.ndarray,
+                     among: np.ndarray) -> np.ndarray:
+        """For each sample position in ``positions``, is it flagged in ``among``
+        and does the candidate describe it?
+
+        Only the flagged samples are checked, so a candidate that describes
+        none of them stops at the first entity that rules them all out.
+        """
+        flags = np.zeros(self._bytes * 8, dtype=np.uint8)
+        flags[positions[among]] = 1
+        mask = int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+        bits = self.described(candidate, mask)
         flags = np.unpackbits(np.frombuffer(bits.to_bytes(self._bytes, "little"), np.uint8),
                               bitorder="little")
         return flags[positions].astype(bool)
@@ -272,7 +280,7 @@ def _sort_by_similarity(remaining: np.ndarray, reference: ASD,
 # ----------------------------------------------------------------------------
 
 def _trace(seed: int, index: NegativeAttributeIndex, ranker: SimilarityRanker,
-           positions: np.ndarray, memo: dict[tuple[ASD, bytes], ASD]) -> ASD:
+           positions: np.ndarray, memo: dict[ASD, ASD]) -> ASD:
     """Run one seed's greedy generalization and return its final description.
 
     ``seed`` is the ranker position of the seed, and ``positions[r]`` the
@@ -280,54 +288,54 @@ def _trace(seed: int, index: NegativeAttributeIndex, ranker: SimilarityRanker,
     ranker position, the positives still to visit (at first, all but the
     seed); an accepted merge clears the flags of those visited before it.
 
-    After the first accepted merge the description is an antichain (``merge``
-    and ``trimmed`` return one).  Visiting a positive that an antichain
-    describes changes nothing, and stays a no-op under every later
-    generalization, because subsumption is transitive.  So each accepted merge
-    also clears every positive the description describes, and the rest of the
-    trace depends only on ``(description, remaining)``.  ``memo`` maps such
-    states, from earlier traces of the same class, to their final description;
-    a trace that reaches one stops there, and every state it passed through is
-    recorded.  Before the first accepted merge neither applies: a seed that is
-    not an antichain is replaced by its trimmed form when it visits a positive
-    it describes.
+    Let the description D be an antichain: an antichain seed, or any
+    accepted merge (``merge`` returns an antichain).  Two kinds of positive
+    can no longer change the trace.  One that D describes merges with D into
+    D itself, and stays described by every later, more general description.
+    One whose merge with some earlier description was rejected is rejected
+    again: its merge with D subsumes the rejected merge, so it describes the
+    same negative.  So whenever the description is an antichain its
+    described positives are cleared, and the rest of the trace depends on D
+    alone.  ``memo`` maps each such D, reached by an earlier trace of the
+    same class, to its final description; a trace that reaches one stops
+    there.  A seed that is not an antichain keeps its described positives:
+    the first one it visits trims it, because ``merge(D, p) == D.trimmed``
+    whenever D subsumes p.
     """
     remaining = np.ones(len(ranker.asds), dtype=bool)
     remaining[seed] = False
     description = ranker.asds[seed]
-    queue = _sort_by_similarity(remaining, description, ranker)
-    visited = 0
+    antichain = description.is_antichain
     passed = []
-    while visited < len(queue):
-        candidate = ranker.asds[queue[visited]]
-        visited += 1
-        if subsumes(description, candidate):
-            # The merge of comparable descriptions is the general one, trimmed.
-            generalized = description.trimmed
-        else:
-            generalized = merge(description, candidate)
-        # Accepted no-ops and rejections leave the ordering untouched.
-        if generalized != description and index.first_described(generalized) is None:
-            description = generalized
-            remaining[queue[:visited]] = False
-            remaining[index.described_at(description, positions)] = False
-            state = (description, remaining.tobytes())
-            final = memo.get(state)
+    while True:
+        if antichain:
+            final = memo.get(description)
             if final is not None:
                 description = final
                 break
-            passed.append(state)
-            queue = _sort_by_similarity(remaining, description, ranker)
-            visited = 0
-    for state in passed:
-        memo[state] = description
+            passed.append(description)
+            remaining[index.described_at(description, positions, remaining)] = False
+        queue = _sort_by_similarity(remaining, description, ranker)
+        for visited, position in enumerate(queue, 1):
+            # No positive left to visit is described by the description, or
+            # the description is not an antichain, so every merge changes it.
+            generalized = merge(description, ranker.asds[position])
+            if index.first_described(generalized) is None:
+                description = generalized
+                antichain = True  # merge returns one; is_antichain would re-trim
+                remaining[queue[:visited]] = False
+                break
+        else:
+            break
+    for reached in passed:
+        memo[reached] = description
     return description
 
 
 def _trace_seeds(seeds: Sequence[int], index: NegativeAttributeIndex,
                  ranker: SimilarityRanker, positions: np.ndarray) -> list[ASD]:
     """Final descriptions of the given seeds' traces, which share one fresh memo."""
-    memo: dict[tuple[ASD, bytes], ASD] = {}
+    memo: dict[ASD, ASD] = {}
     return [_trace(seed, index, ranker, positions, memo) for seed in seeds]
 
 
@@ -367,25 +375,23 @@ def _usable_cpus() -> int:
 # mining
 # ----------------------------------------------------------------------------
 
-def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
-              parallelism: int = 1,
-              index: NegativeAttributeIndex | None = None,
-              ) -> list[ClassClusterDescription]:
+def mine_ccds(positives: Sequence[Sample], index: NegativeAttributeIndex,
+              parallelism: int = 1) -> list[ClassClusterDescription]:
     """Mine candidate class descriptions from one class versus the rest.
 
-    Returns the deduplicated candidates in canonical order, each carrying its
-    exact positive coverage.  Raises ``ValueError`` for an empty or mixed
-    positive set and ``InseparableDataError`` when some positive's description
-    already describes a negative (no sound rule can cover that positive).
+    ``index`` is mining's only view of the negatives: its samples of the
+    positives' label must be exactly the positives, and every other sample
+    it holds is a negative, so one index over ``dataset.samples`` serves
+    every class.  The checks cost O(positives): ``ValueError`` for an empty
+    or mixed positive set, or one that is not the index's class.
+    ``InseparableDataError`` when some positive's description already
+    describes a negative (no sound rule can cover that positive).
 
-    ``index`` is an index over exactly the positives and the negatives, with
-    the negatives in the given order (``Dataset.split`` keeps dataset order,
-    so an index over ``dataset.samples`` serves every class); without it,
-    one is built.  ``ValueError`` if its size differs or its samples of this
-    label are not the positives.  Serial and pooled traces share its class
-    view and one ranker over the positives.  ``parallelism`` caps the worker
-    processes (``ConfigError`` below 1); the pool traces fixed chunks of
-    seeds, each with its own memo.
+    Returns the deduplicated candidates in canonical order, each carrying
+    its exact positive coverage.  Serial and pooled traces share the
+    index's class view and one ranker over the positives.  ``parallelism``
+    caps the worker processes (``ConfigError`` below 1); the pool traces
+    fixed chunks of seeds, each with its own memo.
     """
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
@@ -395,20 +401,9 @@ def mine_ccds(positives: Sequence[Sample], negatives: Sequence[Sample],
     if len(labels) != 1:
         raise ValueError(f"positives must share one label, got {sorted(labels)}")
     label = positives[0].label
-    if any(n.label == label for n in negatives):
-        raise ValueError(f"negatives contain the positive label {label!r}")
-    positive_ids = {p.id for p in positives}
-    if len(positive_ids) != len(positives):
-        raise ValueError("positive sample ids must be unique")
-    overlap = positive_ids & {n.id for n in negatives}
-    if overlap:
-        raise ValueError(f"sample ids appear on both sides: {sorted(overlap)[:5]}")
-
-    if index is None:
-        index = NegativeAttributeIndex([*positives, *negatives])
     where = index.members(label)
-    if len(index) != len(positives) + len(negatives) or where.keys() != positive_ids:
-        raise ValueError("the index does not cover exactly the positives and negatives")
+    if len(where) != len(positives) or where.keys() != {p.id for p in positives}:
+        raise ValueError(f"the positives are not the index's samples labelled {label!r}")
     index = index.for_class(label)
     for p in positives:
         hit = index.first_described(p.asd)

@@ -63,7 +63,7 @@ def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
     index = NegativeAttributeIndex(dataset.samples)
     for label in labels:
         positives, negatives = dataset.split(label)
-        candidates = mine_ccds(positives, negatives, parallelism, index=index)
+        candidates = mine_ccds(positives, index, parallelism)
         # Independent soundness re-check, naive scan only.
         for candidate in candidates:
             if not check_ccd(candidate.asd, negatives):  # pragma: no cover

@@ -11,7 +11,7 @@ import random
 from typing import Callable
 
 from .asd import ASD, merge, similarity, subsumes
-from .mining import Sample, greedy_cover, mine_ccds
+from .mining import NegativeAttributeIndex, Sample, greedy_cover, mine_ccds
 from .oracle import (OracleBudget, oracle_coverage_opt, oracle_edit_distance,
                      random_asds, scalar_mine, subsuming_pairs)
 from .prototypes import edit_distance
@@ -116,8 +116,8 @@ def battery_mining_traces(cases: int, seed: int) -> Battery:
         positives += [Sample(p.id + "-twin", "pos", p.asd) for p in positives[::3]]
         negatives = [Sample(f"n{i:02d}", "neg", a) for i, a in enumerate(asds[n_pos:])
                      if not any(subsumes(p.asd, a) for p in positives)]
-        if [c.asd for c in mine_ccds(positives, negatives)] != scalar_mine(positives,
-                                                                          negatives):
+        index = NegativeAttributeIndex([*positives, *negatives])
+        if [c.asd for c in mine_ccds(positives, index)] != scalar_mine(positives, negatives):
             failures += 1
     return ("mining-scalar-traces", cases, failures)
 

@@ -37,6 +37,12 @@ def mk_samples(vocab, label, named_asds):
             for sid, lists in named_asds]
 
 
+def mine(positives, negatives, parallelism=1):
+    """mine_ccds with an index over exactly the positives and the negatives."""
+    return mine_ccds(positives, NegativeAttributeIndex([*positives, *negatives]),
+                     parallelism)
+
+
 def worked_instance(vocab):
     positives = mk_samples(vocab, "pos", [
         ("d1", [["Large", "Cube"], ["Small", "Sphere"]]),
@@ -56,7 +62,7 @@ def worked_instance(vocab):
 def test_worked_example_converges_to_single_rule():
     v = Vocabulary()
     positives, negatives = worked_instance(v)
-    out = mine_ccds(positives, negatives)
+    out = mine(positives, negatives)
     assert len(out) == 1
     assert out[0].asd == ASD.from_names(v, [["Large", "Cube"]])
     assert out[0].coverage == {"d1", "d2"}
@@ -67,7 +73,7 @@ def test_single_positive_keeps_own_description():
     v = Vocabulary()
     positives = mk_samples(v, "pos", [("d1", [["A", "B"]])])
     negatives = mk_samples(v, "neg", [("n1", [["C"]]), ("n2", [["D"]])])
-    out = mine_ccds(positives, negatives)
+    out = mine(positives, negatives)
     assert len(out) == 1
     assert out[0].asd == positives[0].asd
     assert out[0].coverage == {"d1"}
@@ -80,7 +86,7 @@ def test_no_negatives_collapses_to_most_general_merge():
         ("p2", [["A", "C"]]),
         ("p3", [["A", "B", "D"]]),
     ])
-    out = mine_ccds(positives, [])
+    out = mine(positives, [])
     assert len(out) == 1
     assert out[0].asd == ASD.from_names(v, [["A"]])
     assert out[0].coverage == {"p1", "p2", "p3"}
@@ -91,7 +97,7 @@ def test_no_negatives_tolerates_empty_entity_rule():
     single empty entity, which describes everything."""
     v = Vocabulary()
     positives = mk_samples(v, "pos", [("p1", [["A"]]), ("p2", [["B"]])])
-    out = mine_ccds(positives, [])
+    out = mine(positives, [])
     assert len(out) == 1
     assert out[0].asd == ASD((0,))
     assert out[0].coverage == {"p1", "p2"}
@@ -101,7 +107,7 @@ def test_rejected_merge_keeps_separate_rules():
     v = Vocabulary()
     positives = mk_samples(v, "pos", [("p1", [["A"]]), ("p2", [["B"]])])
     negatives = mk_samples(v, "neg", [("n1", [["C"]])])
-    out = mine_ccds(positives, negatives)
+    out = mine(positives, negatives)
     assert [c.asd for c in out] == [ASD.from_names(v, [["A"]]),
                                     ASD.from_names(v, [["B"]])]
     assert [sorted(c.coverage) for c in out] == [["p1"], ["p2"]]
@@ -112,7 +118,7 @@ def test_inseparable_positive_raises():
     positives = mk_samples(v, "pos", [("p1", [["A"]])])
     negatives = mk_samples(v, "neg", [("n1", [["A", "B"]])])
     with pytest.raises(InseparableDataError) as err:
-        mine_ccds(positives, negatives)
+        mine(positives, negatives)
     assert err.value.positive_id == "p1"
     assert err.value.negative_id == "n1"
 
@@ -121,25 +127,35 @@ def test_input_validation():
     v = Vocabulary()
     pos = mk_samples(v, "pos", [("p1", [["A"]])])
     neg = mk_samples(v, "neg", [("n1", [["B"]])])
+    index = NegativeAttributeIndex(pos + neg)
     with pytest.raises(ValueError):
-        mine_ccds([], neg)
+        mine_ccds([], index)
     mixed = pos + mk_samples(v, "other", [("p2", [["A"]])])
     with pytest.raises(ValueError):
-        mine_ccds(mixed, neg)
+        mine_ccds(mixed, NegativeAttributeIndex(mixed + neg))
+    # positives that miss a member of the index's class, or add one
+    unlisted = mk_samples(v, "pos", [("n2", [["B"]])])
     with pytest.raises(ValueError):
-        mine_ccds(pos, mk_samples(v, "pos", [("n2", [["B"]])]))
+        mine_ccds(pos, NegativeAttributeIndex(pos + unlisted + neg))
+    with pytest.raises(ValueError):
+        mine_ccds(pos + unlisted, index)
+    # traces address positives by position, so a repeated id is refused: by
+    # the index, whether on both sides or twice among the positives, and by
+    # mine_ccds against an index that holds it once
     clash = mk_samples(v, "neg", [("p1", [["B"]])])
-    with pytest.raises(ValueError):
-        mine_ccds(pos, clash)
-    # traces address positives by position, so a repeated id is refused
     with pytest.raises(ValueError, match="unique"):
-        mine_ccds(pos + mk_samples(v, "pos", [("p1", [["A", "C"]])]), neg)
+        NegativeAttributeIndex(pos + clash)
+    repeated = pos + mk_samples(v, "pos", [("p1", [["A", "C"]])])
+    with pytest.raises(ValueError, match="unique"):
+        NegativeAttributeIndex(repeated + neg)
+    with pytest.raises(ValueError):
+        mine_ccds(repeated, index)
 
 
 def test_config_validation():
     positives, negatives = worked_instance(Vocabulary())
     with pytest.raises(ConfigError, match="parallelism must be >= 1"):
-        mine_ccds(positives, negatives, parallelism=0)
+        mine(positives, negatives, parallelism=0)
 
 
 @pytest.mark.parametrize("options", [
@@ -175,7 +191,7 @@ def random_instance(seed, n_pos=8, n_neg=6):
 def test_mined_rules_are_sound_and_complete():
     for seed in range(30):
         positives, negatives = random_instance(seed)
-        out = mine_ccds(positives, negatives)
+        out = mine(positives, negatives)
         covered = set()
         for ccd in out:
             for n in negatives:
@@ -196,12 +212,12 @@ def test_seed_dedupe_does_not_change_results():
         ("p3", [["A", "C"]]),
     ])
     negatives = mk_samples(v, "neg", [("n1", [["D"]])])
-    assert [c.asd for c in mine_ccds(positives, negatives)] == scalar_mine(positives,
-                                                                           negatives)
+    assert [c.asd for c in mine(positives, negatives)] == scalar_mine(positives,
+                                                                      negatives)
     for seed in range(10):
         positives, negatives = random_instance(seed)
         positives += [Sample(p.id + "-twin", "pos", p.asd) for p in positives[::2]]
-        assert [c.asd for c in mine_ccds(positives, negatives)] == scalar_mine(
+        assert [c.asd for c in mine(positives, negatives)] == scalar_mine(
             positives, negatives)
 
 
@@ -225,17 +241,15 @@ def test_parallel_mining_matches_serial(monkeypatch):
     monkeypatch.setattr("semproto.mining._usable_cpus", lambda: 4)
     for case, (positives, negatives) in enumerate(parallel_cases()):
         expected = scalar_mine(positives, negatives)
-        serial = mine_ccds(positives, negatives)
+        serial = mine(positives, negatives)
         assert [c.asd for c in serial] == expected
         # a dataset-wide index whose sample order is unrelated to the ids
         samples = [*positives, *negatives]
         random.Random(case).shuffle(samples)
         index = NegativeAttributeIndex(samples)
-        assert mine_ccds(positives, negatives, index=index) == serial
+        assert mine_ccds(positives, index) == serial
         for workers in (2, 4):
-            parallel = mine_ccds(positives, negatives, workers,
-                                 index=index)
-            assert parallel == serial
+            assert mine_ccds(positives, index, workers) == serial
 
 
 def in_process_pool(log):
@@ -271,7 +285,7 @@ def test_pool_size_is_capped_by_cpus_and_seeds(monkeypatch):
     positives, negatives = random_instance(0, n_pos=10, n_neg=5)
     seeds = len({p.asd for p in positives})
     assert seeds > 3
-    serial = mine_ccds(positives, negatives)
+    serial = mine(positives, negatives)
     huge = 10**6
 
     def mined_with(affinity, cpu_count):
@@ -282,7 +296,7 @@ def test_pool_size_is_capped_by_cpus_and_seeds(monkeypatch):
                                 raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         log.clear()
-        assert mine_ccds(positives, negatives, huge) == serial
+        assert mine(positives, negatives, huge) == serial
         return [workers for workers, _ in log]
 
     assert mined_with(affinity=3, cpu_count=64) == [3]
@@ -404,8 +418,8 @@ def test_mining_matches_scalar_traces(seed, vocab_size):
     positives = [Sample(f"p{i:02d}", "pos", a) for i, a in enumerate(stream[:12])]
     negatives = [Sample(f"n{i:02d}", "neg", a) for i, a in enumerate(stream[12:])
                  if not any(subsumes(p.asd, a) for p in positives)]
-    assert [c.asd for c in mine_ccds(positives, negatives)] == scalar_mine(positives,
-                                                                           negatives)
+    assert [c.asd for c in mine(positives, negatives)] == scalar_mine(positives,
+                                                                      negatives)
 
 
 @st.composite
@@ -445,18 +459,18 @@ def test_memoized_mining_matches_scalar_mine(case):
     candidate, serially or in a pool of more than one chunk."""
     positives, negatives, samples = case
     expected = scalar_mine(positives, negatives)
-    serial = mine_ccds(positives, negatives)
+    serial = mine(positives, negatives)
     assert [c.asd for c in serial] == expected
     for ccd in serial:
         assert ccd.coverage == {p.id for p in positives if subsumes(ccd.asd, p.asd)}
     index = NegativeAttributeIndex(samples)
-    assert mine_ccds(positives, negatives, index=index) == serial
+    assert mine_ccds(positives, index) == serial
     log = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mining, "ProcessPoolExecutor", in_process_pool(log))
         patch.setattr(mining, "_usable_cpus", lambda: 2)
         patch.setattr(mining, "_POOL_STATE", None)
-        assert mine_ccds(positives, negatives, 2, index=index) == serial
+        assert mine_ccds(positives, index, 2) == serial
     if len({p.asd for p in positives}) > 1:
         [(workers, chunks)] = log
         assert workers == 2 and chunks > 1
@@ -480,9 +494,38 @@ def test_trace_memo_saves_merges(monkeypatch):
     for label in dataset.labels():
         positives, negatives = dataset.split(label)
         assert len({p.asd for p in positives}) == len(positives)
-        assert [c.asd for c in mine_ccds(positives, negatives)] == scalar_mine(positives,
-                                                                               negatives)
+        assert [c.asd for c in mine(positives, negatives)] == scalar_mine(positives,
+                                                                          negatives)
     assert 0 < calls[mining] < calls[oracle]
+
+
+def test_trace_memo_is_keyed_by_the_description(monkeypatch):
+    """p1's trace rejects p3, then reaches [[A]] by merging p2.  p2's trace
+    reaches [[A]] by merging p1 with p3 still to visit, and stops there, since
+    p3 was rejected at a more specific description and stays rejected."""
+    v = Vocabulary()
+    positives = mk_samples(v, "pos", [("p1", [["A", "B", "X"]]),
+                                      ("p2", [["A", "C", "W"]]),
+                                      ("p3", [["B", "X", "Y"]])])
+    negatives = mk_samples(v, "neg", [("n1", [["B", "X", "Z"]])])
+    merges = []
+
+    def counted_merge(a, b):
+        merges.append((a, b))
+        return merge(a, b)
+    monkeypatch.setattr(mining, "merge", counted_merge)
+    index = NegativeAttributeIndex(positives + negatives).for_class("pos")
+    ranker = SimilarityRanker([(p.id, p.asd) for p in positives])
+    positions = np.arange(len(positives))  # the positives lead the index
+    p1, p2, p3 = (p.asd for p in positives)
+    rule = ASD.from_names(v, [["A"]])
+    memo = {}
+    assert mining._trace(0, index, ranker, positions, memo) == rule
+    assert merges == [(p1, p3), (p1, p2)]
+    merges.clear()
+    assert mining._trace(1, index, ranker, positions, memo) == rule
+    assert merges == [(p2, p1)]
+    assert [c.asd for c in mine(positives, negatives)] == scalar_mine(positives, negatives)
 
 
 # ---------------------------------------------------------------------------
@@ -561,18 +604,23 @@ def test_dataset_index_matches_naive_scan(case):
             assert check_ccd(candidate, negatives) == (naive is None)
             covered = index.ids(index.described(candidate, index.labelled(label)))
             assert covered == [p.id for p in positives if subsumes(candidate, p.asd)]
+            at = np.array([k for k, s in enumerate(samples) if s.label == label][::-1])
+            among = np.arange(len(at)) % 2 == 0
+            assert view.described_at(candidate, at, among).tolist() == [
+                bool(flagged) and subsumes(candidate, samples[k].asd)
+                for k, flagged in zip(at, among)]
         # mining with the shared index: the same inseparability verdict, and
         # every coverage equal to a subsumes scan
         try:
-            mined = mine_ccds(positives, negatives, index=index)
+            mined = mine_ccds(positives, index)
         except InseparableDataError as err:
             assert (err.positive_id, err.negative_id) == next(
                 (p.id, n.id) for p in positives for n in negatives
                 if subsumes(p.asd, n.asd))
             with pytest.raises(InseparableDataError):
-                mine_ccds(positives, negatives)
+                mine(positives, negatives)
             continue
-        assert mined == mine_ccds(positives, negatives)
+        assert mined == mine(positives, negatives)
         for ccd in mined:
             assert ccd.coverage == {p.id for p in positives if subsumes(ccd.asd, p.asd)}
             assert check_ccd(ccd.asd, negatives)
@@ -596,8 +644,8 @@ def test_run_pipeline_builds_one_index(monkeypatch):
 def test_mine_ccds_rejects_a_foreign_index():
     v = Vocabulary()
     positives, negatives = worked_instance(v)
-    with pytest.raises(ValueError):
-        mine_ccds(positives, negatives, index=NegativeAttributeIndex(negatives))
+    with pytest.raises(ValueError, match="not the index's samples"):
+        mine_ccds(positives, NegativeAttributeIndex(negatives))
     # an index over other samples of the same size
     positives = [Sample("p1", "pos", ASD.from_id_sets([[0, 1]])),
                  Sample("p2", "pos", ASD.from_id_sets([[0, 2]]))]
@@ -605,8 +653,8 @@ def test_mine_ccds_rejects_a_foreign_index():
     foreign = NegativeAttributeIndex([Sample("x1", "pos", ASD.from_id_sets([[0, 1, 2]])),
                                       Sample("x2", "pos", ASD.from_id_sets([[4]])),
                                       Sample("x3", "neg", ASD.from_id_sets([[3]]))])
-    with pytest.raises(ValueError, match="does not cover exactly"):
-        mine_ccds(positives, negatives, index=foreign)
+    with pytest.raises(ValueError, match="not the index's samples"):
+        mine_ccds(positives, foreign)
 
 
 # ---------------------------------------------------------------------------
