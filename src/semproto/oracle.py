@@ -2,13 +2,14 @@
 
 Everything here is deliberately independent of the production code paths: the
 only shared vocabulary is the domain types (descriptions as tuples of entity
-bitmasks).  Subset tests, costs, and matchings are recomputed from first
-principles by exhaustive enumeration, so these functions can act as oracles
-for the optimized implementations in property and acceptance tests.  Budgets
-keep the enumeration small enough to finish in seconds.  ``scalar_mine`` is
-the reference for mining: the miner's greedy traces run with the scalar
-``asd`` operations only, and with none of the miner's index, ranker, seed
-dedupe or trace memo.
+bitmasks, and the record an edit distance is reported in).  Subset tests,
+costs, and matchings are recomputed from first principles by exhaustive
+enumeration, so these functions can act as oracles for the optimized
+implementations in property and acceptance tests.  Budgets keep the
+enumeration small enough to finish in seconds.  ``scalar_mine`` is the
+reference for mining: the miner's greedy traces run with the scalar ``asd``
+operations only, and with none of the miner's index, ranker, seed dedupe or
+trace memo.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from typing import Iterator, Sequence
 
 from .asd import ASD, merge, similarity, subsumes
 from .errors import BudgetError
+from .prototypes import EditDistanceBreakdown
 
 
 @dataclass(frozen=True)
@@ -38,14 +40,16 @@ def _is_subset(a: int, b: int) -> bool:
 
 
 def oracle_edit_distance(rule: ASD, sample: ASD, unmatched_cost: str = "attrs",
-                         budget: OracleBudget = OracleBudget()) -> int:
+                         budget: OracleBudget = OracleBudget()) -> EditDistanceBreakdown:
     """Exhaustive minimum edit distance from a rule description to a sample.
 
     Tries every injective mapping of rule entities onto distinct sample
     entities restricted to subset edges; if none exists, falls back to every
     many-to-one mapping.  Matched pairs cost the inserted attributes, and each
     sample entity left unmatched costs its attribute count ("attrs" mode) or
-    nothing ("zero" mode).
+    nothing ("zero" mode).  Mappings are enumerated in lexicographic order and
+    only a strictly smaller total replaces the best, so the breakdown reports
+    the lexicographically smallest optimal mapping.
     """
     if unmatched_cost not in ("attrs", "zero"):
         raise ValueError(f"unknown unmatched cost mode {unmatched_cost!r}")
@@ -62,29 +66,26 @@ def oracle_edit_distance(rule: ASD, sample: ASD, unmatched_cost: str = "attrs",
 
     z_cost = [ze.bit_count() if unmatched_cost == "attrs" else 0 for ze in z]
 
-    def mapping_total(assignment: Sequence[int]) -> int | None:
-        total = 0
-        for i, j in enumerate(assignment):
-            if not _is_subset(r[i], z[j]):
-                return None
-            total += (z[j] & ~r[i]).bit_count()
-        used = set(assignment)
-        for j, cost in enumerate(z_cost):
-            if j not in used:
-                total += cost
-        return total
+    def breakdown(assignment: Sequence[int],
+                  injective: bool) -> EditDistanceBreakdown | None:
+        if not all(_is_subset(r[i], z[j]) for i, j in enumerate(assignment)):
+            return None
+        pairs = tuple((i, j, (z[j] & ~r[i]).bit_count()) for i, j in enumerate(assignment))
+        unmatched = tuple((j, cost) for j, cost in enumerate(z_cost) if j not in assignment)
+        total = sum(ins for _, _, ins in pairs) + sum(cost for _, cost in unmatched)
+        return EditDistanceBreakdown(pairs, unmatched, total, injective)
 
-    best: int | None = None
+    best: EditDistanceBreakdown | None = None
     if len(r) <= len(z):
         for perm in itertools.permutations(range(len(z)), len(r)):
-            total = mapping_total(perm)
-            if total is not None and (best is None or total < best):
-                best = total
+            found = breakdown(perm, True)
+            if found is not None and (best is None or found.total < best.total):
+                best = found
     if best is None:
         for assignment in itertools.product(range(len(z)), repeat=len(r)):
-            total = mapping_total(assignment)
-            if total is not None and (best is None or total < best):
-                best = total
+            found = breakdown(assignment, False)
+            if found is not None and (best is None or found.total < best.total):
+                best = found
     assert best is not None  # the subset precondition guarantees one mapping
     return best
 

@@ -6,20 +6,30 @@ entity of the sample (insertions = the extra attributes of the witness), and
 sample entities that no rule entity uses are charged their full attribute
 count (mode "attrs", the default) or nothing (mode "zero").
 
-Matching prefers an injective assignment (distinct witnesses, found with an
-exact assignment solver).  When no injective assignment exists the distance is
-the exact minimum over many-to-one mappings, computed by an augmented
-assignment that lets rule entities either claim a distinct witness or ride the
-cheapest one.  The prototype of a rule is simply the covered sample at minimal
-distance.
+Matching prefers an injective assignment (distinct witnesses).  When no
+injective assignment exists the distance is the exact minimum over
+many-to-one mappings, computed by an augmented assignment that lets rule
+entities either claim a distinct witness or ride the cheapest one.
+
+Tie-break: the reported mapping (the sample entity per rule entity, in rule
+order) is the lexicographically smallest mapping of minimal total, among
+injective mappings when one exists and among many-to-one mappings otherwise.
+
+In "attrs" mode every injective assignment costs the same, the sample's
+attribute count minus the rule's, because each rule entity is a subset of
+its witness.  So there a feasibility test by augmenting paths (Kuhn 1955)
+settles the distance, and the mapping is found greedily: each rule entity in
+turn takes the smallest sample entity that leaves the rest matchable.  The
+other cases need one exact minimum-cost assignment (``linear_sum_assignment``,
+the Hungarian method with potentials), whose integer cell weights
+``cost * nz**nr + column * nz**(nr - 1 - row)`` fold the tie-break into the
+optimum.  The prototype of a rule is the covered sample at minimal distance,
+ties broken toward the smallest sample id.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .asd import ASD, similarity
 from .errors import ConfigError
@@ -28,7 +38,9 @@ from .mining import ClassClusterDescription, Sample
 METRICS = ("edit", "jaccard")
 UNMATCHED_COST_MODES = ("attrs", "zero")
 
-_BIG = 1 << 40  # larger than any real total; marks forbidden assignment cells
+# weight[i][j]: attributes to insert into rule entity i to reach sample entity
+# j, or None when j is not a superset of i
+Weights = list[list["int | None"]]
 
 
 @dataclass(frozen=True)
@@ -70,61 +82,166 @@ def _check_mode(unmatched_cost: str) -> None:
 
 def edit_distance(rule: ASD, sample: ASD,
                   unmatched_cost: str = "attrs") -> EditDistanceBreakdown:
-    """Minimum attribute insertions turning ``rule`` into ``sample``.
+    """Minimum attribute insertions turning ``rule`` into ``sample``, with the
+    lexicographically smallest optimal mapping.
 
     Precondition: ``rule`` describes ``sample`` (every rule entity has at
     least one superset entity in the sample); raises ``ValueError`` otherwise.
     """
+    weight, z_cost = _weights(rule, sample, unmatched_cost)
+    nz = len(z_cost)
+    feasible = _injective(weight, nz)
+    if feasible and unmatched_cost == "attrs":
+        assignment = _first_matching(weight, nz)
+    elif feasible:
+        assignment = _lexmin_assignment(
+            [[None if w is None else (w, j) for j, w in enumerate(row)] for row in weight],
+            nz)
+    else:
+        assignment = _many_to_one(weight, z_cost)
+    pairs = tuple((i, j, weight[i][j]) for i, j in enumerate(assignment))
+    used = set(assignment)
+    unmatched = tuple((j, cost) for j, cost in enumerate(z_cost) if j not in used)
+    total = sum(w for _, _, w in pairs) + sum(cost for _, cost in unmatched)
+    return EditDistanceBreakdown(pairs, unmatched, total, feasible)
+
+
+def _edit_total(rule: ASD, sample: ASD, unmatched_cost: str) -> int:
+    """``edit_distance(...).total``, without the mapping when "attrs" mode
+    has an injective assignment (they all cost the same)."""
+    if unmatched_cost == "attrs":
+        weight, z_cost = _weights(rule, sample, unmatched_cost)
+        if _injective(weight, len(z_cost)):
+            return sample.total_attributes - rule.total_attributes
+    return edit_distance(rule, sample, unmatched_cost).total
+
+
+def _weights(rule: ASD, sample: ASD, unmatched_cost: str) -> tuple[Weights, list[int]]:
+    """Insertion weights and the charge of each unmatched sample entity."""
     _check_mode(unmatched_cost)
     if not rule.entities or not sample.entities:
         raise ValueError("edit distance requires non-empty descriptions")
-    r = rule.entities
     z = sample.entities
-    nr, nz = len(r), len(z)
-    z_cost = [ze.bit_count() if unmatched_cost == "attrs" else 0 for ze in z]
-
-    # weight[i][j] = attributes to insert into rule entity i to reach sample
-    # entity j, or _BIG when j is not a superset of i
-    weight = [[(z[j] & ~r[i]).bit_count() if r[i] & z[j] == r[i] else _BIG
-               for j in range(nz)] for i in range(nr)]
-    # ride[i]: the cheapest witness of rule entity i.  Without any witness the
-    # rule does not describe the sample.
-    ride = [min(row) for row in weight]
-    if _BIG in ride:
+    weight = [[(zj & ~ri).bit_count() if ri & zj == ri else None for zj in z]
+              for ri in rule.entities]
+    if any(all(w is None for w in row) for row in weight):
         raise ValueError("rule does not describe the sample; edit distance undefined")
-
-    if nr <= nz:
-        rows, cols = linear_sum_assignment(np.array(weight, dtype=np.int64))
-        if all(weight[i][j] < _BIG for i, j in zip(rows, cols)):
-            assignment = {int(i): int(j) for i, j in zip(rows, cols)}
-            return _build_breakdown(assignment, weight, z_cost, feasible=True)
-
-    # No injective assignment saturates the rule side.  Exact many-to-one
-    # optimum: a rule entity either claims a distinct sample entity (earning
-    # back its unmatched cost) or rides its cheapest superset.
-    augmented = [[weight[i][j] - z_cost[j] if weight[i][j] < _BIG else _BIG
-                  for j in range(nz)]
-                 + [ride[i] if extra == i else _BIG for extra in range(nr)]
-                 for i in range(nr)]
-    rows, cols = linear_sum_assignment(np.array(augmented, dtype=np.int64))
-    assignment = {}
-    for i, j in zip(rows, cols):
-        i, j = int(i), int(j)
-        if j < nz:
-            assignment[i] = j
-        else:
-            assignment[i] = min(range(nz), key=lambda jj: (weight[i][jj], jj))
-    return _build_breakdown(assignment, weight, z_cost, feasible=False)
+    z_cost = [zj.bit_count() if unmatched_cost == "attrs" else 0 for zj in z]
+    return weight, z_cost
 
 
-def _build_breakdown(assignment: dict[int, int], weight: list[list[int]],
-                     z_cost: list[int], feasible: bool) -> EditDistanceBreakdown:
-    pairs = tuple((i, assignment[i], weight[i][assignment[i]])
-                  for i in sorted(assignment))
-    used = set(assignment.values())
-    unmatched = tuple((j, z_cost[j]) for j in range(len(z_cost)) if j not in used)
-    total = sum(w for _, _, w in pairs) + sum(c for _, c in unmatched)
-    return EditDistanceBreakdown(pairs, unmatched, total, feasible)
+def _augment(row: int, weight: Weights, owner: list, seen: list[bool]) -> bool:
+    """Kuhn's augmenting path: give ``row`` a witness no other row holds,
+    moving holders along; columns marked in ``seen`` are not visited."""
+    for j, w in enumerate(weight[row]):
+        if w is not None and not seen[j]:
+            seen[j] = True
+            if owner[j] is None or _augment(owner[j], weight, owner, seen):
+                owner[j] = row
+                return True
+    return False
+
+
+def _matchable(weight: Weights, rows: range, taken: list[bool]) -> bool:
+    """Whether every row in ``rows`` can have its own witness outside ``taken``."""
+    owner: list = [None] * len(taken)
+    return all(_augment(i, weight, owner, list(taken)) for i in rows)
+
+
+def _injective(weight: Weights, nz: int) -> bool:
+    return len(weight) <= nz and _matchable(weight, range(len(weight)), [False] * nz)
+
+
+def _first_matching(weight: Weights, nz: int) -> list[int]:
+    """The lexicographically smallest injective mapping; one must exist."""
+    taken = [False] * nz
+    assignment = []
+    for i, row in enumerate(weight):
+        for j, w in enumerate(row):
+            if w is None or taken[j]:
+                continue
+            taken[j] = True
+            if _matchable(weight, range(i + 1, len(weight)), taken):
+                assignment.append(j)
+                break
+            taken[j] = False
+    return assignment
+
+
+def _many_to_one(weight: Weights, z_cost: list[int]) -> list[int]:
+    """Exact many-to-one optimum: a rule entity either claims a distinct
+    sample entity (earning back its unmatched cost) or rides its cheapest
+    superset (smallest index among equals) in a column of its own."""
+    nr, nz = len(weight), len(z_cost)
+    ride = [min((w, j) for j, w in enumerate(row) if w is not None) for row in weight]
+    cells = [[None if w is None else (w - z_cost[j], j) for j, w in enumerate(row)]
+             + [ride[i] if extra == i else None for extra in range(nr)]
+             for i, row in enumerate(weight)]
+    return [c if c < nz else ride[i][1]
+            for i, c in enumerate(_lexmin_assignment(cells, nz))]
+
+
+def _lexmin_assignment(cells: list[list], nz: int) -> list[int]:
+    """Solve ``cells[i][c] = (cost, mapped sample entity)`` (None: forbidden)
+    for minimal total cost, ties toward the lexicographically smallest
+    sequence of mapped sample entities; returns the cell column per row."""
+    nr = len(cells)
+    scale = nz ** nr  # exceeds every tie-break sum, so cost decides first
+    weighted = [[None if cell is None else cell[0] * scale + cell[1] * nz ** (nr - 1 - i)
+                 for cell in row] for i, row in enumerate(cells)]
+    return linear_sum_assignment(weighted)
+
+
+def linear_sum_assignment(cost: list[list["int | None"]]) -> list[int]:
+    """Minimum-cost assignment of each row to its own column.
+
+    ``cost`` has at most as many rows as columns and None marks a forbidden
+    cell; raises ``ValueError`` when every assignment uses one.  Returns the
+    column of each row.  Shortest augmenting paths with row and column
+    potentials (the Hungarian method: Kuhn 1955, Munkres 1957), O(rows^2 *
+    columns) in exact integer arithmetic.
+    """
+    n, m = len(cost), len(cost[0])
+    inf = float("inf")
+    u = [0] * (n + 1)      # row potentials, rows numbered from 1
+    v = [0] * (m + 1)      # column potentials; column 0 is the search root
+    owner = [0] * (m + 1)  # the row holding each column, 0 for none
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        minv = [inf] * (m + 1)
+        way = [0] * (m + 1)
+        used = [False] * (m + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            row = cost[i0 - 1]
+            delta, j1 = inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    c = row[j - 1]
+                    if c is not None and c - u[i0] - v[j] < minv[j]:
+                        minv[j], way[j] = c - u[i0] - v[j], j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            if not j1:
+                raise ValueError("no assignment avoids the forbidden cells")
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    columns = [0] * n
+    for j in range(1, m + 1):
+        if owner[j]:
+            columns[owner[j] - 1] = j - 1
+    return columns
 
 
 def distance_metric_select(name: str,
@@ -132,7 +249,7 @@ def distance_metric_select(name: str,
     """Return the distance function for a metric name, one of ``METRICS``."""
     _check_mode(unmatched_cost)
     if name == "edit":
-        return lambda rule, sample: edit_distance(rule, sample, unmatched_cost).total
+        return lambda rule, sample: _edit_total(rule, sample, unmatched_cost)
     if name == "jaccard":
         return lambda rule, sample: 1.0 - similarity(rule, sample)
     raise ConfigError(f"unknown distance metric {name!r}; expected one of {METRICS}")
@@ -143,33 +260,23 @@ def find_prototype(ccd: ClassClusterDescription, samples: Sequence[Sample], *,
                    runners_up: int = 0) -> PrototypeRecord:
     """Pick the covered sample with minimal distance to the rule description.
 
-    Ties break toward the smallest sample id.  The matching breakdown is
-    always given for the winner so explanations can show which sample
-    entity witnesses which rule entity, whichever metric drove the choice:
-    with "edit" it is the one the scoring solved, with "jaccard" it is solved
-    for the winner alone.
+    Ties break toward the smallest sample id.  Candidates are scored by
+    distance alone; the matching breakdown is solved for the winner, so
+    explanations can show which sample entity witnesses which rule entity,
+    whichever metric drove the choice.
     """
     covered = [s for s in samples if s.id in ccd.coverage]
     if not covered:
         raise ValueError(f"rule for class {ccd.class_label!r} covers no given sample")
-    if metric == "edit":
-        def score(sample: Sample) -> tuple[float, EditDistanceBreakdown | None]:
-            breakdown = edit_distance(ccd.asd, sample.asd, unmatched_cost)
-            return breakdown.total, breakdown
-    else:
-        distance = distance_metric_select(metric, unmatched_cost)
-
-        def score(sample: Sample) -> tuple[float, EditDistanceBreakdown | None]:
-            return distance(ccd.asd, sample.asd), None
-    scored = sorted((score(s) + (s,) for s in covered), key=lambda t: (t[0], t[2].id))
-    best_distance, breakdown, winner = scored[0]
-    if breakdown is None:
-        breakdown = edit_distance(ccd.asd, winner.asd, unmatched_cost)
+    distance = distance_metric_select(metric, unmatched_cost)
+    scored = sorted(((distance(ccd.asd, s.asd), s) for s in covered),
+                    key=lambda t: (t[0], t[1].id))
+    best_distance, winner = scored[0]
     return PrototypeRecord(
         ccd=ccd,
         sample_id=winner.id,
         metric=metric,
         distance=best_distance,
-        breakdown=breakdown,
-        runners_up=tuple((s.id, d) for d, _, s in scored[1:1 + max(0, runners_up)]),
+        breakdown=edit_distance(ccd.asd, winner.asd, unmatched_cost),
+        runners_up=tuple((s.id, d) for d, s in scored[1:1 + max(0, runners_up)]),
     )

@@ -67,7 +67,8 @@ def battery_similarity(cases: int, seed: int) -> Battery:
 
 def battery_edit_oracle(cases: int, seed: int,
                         budget: OracleBudget = OracleBudget()) -> Battery:
-    """Assignment-based edit distance equals the exhaustive oracle, both modes."""
+    """Edit distance equals the exhaustive oracle, both modes: the total, the
+    matched pairs and the unmatched sample entities."""
     failures = 0
     pairs = subsuming_pairs(seed, cases, max_general=4, max_specific=6)
     for rule, sample in pairs:
@@ -75,7 +76,7 @@ def battery_edit_oracle(cases: int, seed: int,
             solved = edit_distance(rule, sample, unmatched_cost=mode)
             expected = oracle_edit_distance(rule, sample, unmatched_cost=mode,
                                             budget=budget)
-            if solved.total != expected:
+            if solved != expected:
                 failures += 1
     return ("edit-distance-oracle", cases, failures)
 

@@ -523,3 +523,23 @@ def test_usage_errors(capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == EXIT_OK
     assert "semproto" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["semproto.cli", "semproto.mining"])
+def test_import_leaves_scipy_unloaded(module):
+    """Start-up, and each ``spawn`` pool worker (which imports
+    ``semproto.mining`` to unpickle its initializer), import no scipy."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import semproto
+    src = str(Path(semproto.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -33,27 +33,27 @@ def fig_pair():
 
 def test_fig_scene_distance_is_15():
     rule, scene = fig_pair()
-    assert oracle_edit_distance(rule, scene) == 15
+    assert oracle_edit_distance(rule, scene).total == 15
 
 
 def test_fig_scene_distance_zero_mode_is_3():
     """Same matching, but the three untouched scene entities cost nothing."""
     rule, scene = fig_pair()
-    assert oracle_edit_distance(rule, scene, unmatched_cost="zero") == 3
+    assert oracle_edit_distance(rule, scene, unmatched_cost="zero").total == 3
 
 
 def test_identity_distance_is_zero():
     z = ASD.from_id_sets([[0, 1], [2, 3]])
-    assert oracle_edit_distance(z, z) == 0
-    assert oracle_edit_distance(z, z, unmatched_cost="zero") == 0
+    assert oracle_edit_distance(z, z).total == 0
+    assert oracle_edit_distance(z, z, unmatched_cost="zero").total == 0
 
 
 def test_many_to_one_fallback_value():
     v = Vocabulary()
     r = ASD.from_names(v, [["A"], ["B"]])
     z = ASD.from_names(v, [["A", "B"]])
-    assert oracle_edit_distance(r, z) == 2
-    assert oracle_edit_distance(r, z, unmatched_cost="zero") == 2
+    assert oracle_edit_distance(r, z).total == 2
+    assert oracle_edit_distance(r, z, unmatched_cost="zero").total == 2
 
 
 def test_oracle_rejects_non_subsuming_pair():
@@ -76,7 +76,7 @@ def test_oracle_entity_budget():
         oracle_edit_distance(ASD.from_id_sets([[0]]), z)
     assert oracle_edit_distance(
         ASD.from_id_sets([[0]]), z, budget=OracleBudget(max_entities=8)
-    ) == 6 + 0  # one exact witness, six singleton strays
+    ).total == 6 + 0  # one exact witness, six singleton strays
 
 
 def test_coverage_opt_worked_instance():

@@ -1,9 +1,10 @@
 """Assignment-based edit distance and prototype picking, checked against the oracle."""
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semproto import (
@@ -18,8 +19,11 @@ from semproto import (
     find_prototype,
     oracle_edit_distance,
     similarity,
+    subsumes,
     subsuming_pairs,
 )
+from semproto.asd import entity_from_ids, entity_ids
+from semproto.prototypes import METRICS, UNMATCHED_COST_MODES, linear_sum_assignment
 from test_oracle import fig_pair
 
 
@@ -80,7 +84,7 @@ def test_shared_witness_can_beat_independent_cheapest():
     z = ASD.from_names(v, [["A", "B", "C"], ["A", "B", "C", "D", "E"]])
     out = edit_distance(r, z)
     assert out.total == 8
-    assert out.total == oracle_edit_distance(r, z, budget=OracleBudget())
+    assert out == oracle_edit_distance(r, z, budget=OracleBudget())
     assert not out.feasible_injective
 
 
@@ -108,7 +112,7 @@ def test_rejects_unknown_mode():
 def test_solver_matches_oracle_on_random_pairs(mode):
     budget = OracleBudget()
     for rule, sample in subsuming_pairs(5, 200):
-        got = edit_distance(rule, sample, unmatched_cost=mode).total
+        got = edit_distance(rule, sample, unmatched_cost=mode)
         want = oracle_edit_distance(rule, sample, unmatched_cost=mode, budget=budget)
         assert got == want, f"{rule!r} vs {sample!r}: solver {got}, oracle {want}"
 
@@ -134,6 +138,92 @@ def test_injective_attrs_total_is_size_difference():
             seen += 1
             assert out.total == z.total_attributes - r.total_attributes
     assert seen > 50
+
+
+def raw_asd(entities) -> ASD:
+    """A description holding ``entities`` as given, duplicates and order kept.
+
+    ``ASD`` canonicalizes and deduplicates; edit distance must not rely on it.
+    """
+    asd = object.__new__(ASD)
+    object.__setattr__(asd, "entities", tuple(entities))
+    return asd
+
+
+@st.composite
+def described_pairs(draw):
+    """(rule, sample) pairs where the rule describes the sample.
+
+    Attributes come from a vocabulary of 8, 64, 65 or 300 ids, through a small
+    pool that always holds the widest id.  Sample entities are drawn from a
+    few base entities, some grown, so witnesses tie often; some samples keep
+    their entity list as drawn, duplicates included.  Rule entities are subsets of sample
+    entities, often several of one, so many pairs have no injective
+    assignment.  Rule entities may be empty.
+    """
+    width = draw(st.sampled_from([8, 64, 65, 300]))
+    pool = sorted(draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=7))
+                  | {width - 1})
+    entity = st.frozensets(st.sampled_from(pool), min_size=1, max_size=4).map(entity_from_ids)
+    base = draw(st.lists(entity, min_size=1, max_size=4))
+    grown = st.builds(lambda b, extra: b | extra, st.sampled_from(base), entity)
+    z = draw(st.lists(st.sampled_from(base) | grown, min_size=1, max_size=6))
+    r = [entity_from_ids(draw(st.sets(st.sampled_from(entity_ids(draw(st.sampled_from(z)))))))
+         for _ in range(draw(st.integers(1, 4)))]
+    sample = raw_asd(z) if draw(st.integers(0, 3)) == 0 else ASD(tuple(z))
+    return ASD(tuple(r)), sample
+
+
+# always tried: duplicate witnesses, shared witnesses, the top bit of a word
+PINNED_PAIRS = [
+    (ASD.from_id_sets([[0], [1]]), raw_asd([0b111, 0b111, 0b11])),
+    (ASD.from_id_sets([[0], [1]]), ASD.from_id_sets([[0, 1]])),
+    (ASD.from_id_sets([[0], [1], [2]]), ASD.from_id_sets([[0, 1, 2], [0, 1, 2, 3, 4]])),
+    (ASD.from_id_sets([[63], [64]]), raw_asd([1 << 63 | 1 << 64, 1 << 64, 1 << 64])),
+    (ASD.from_id_sets([[299], []]), ASD.from_id_sets([[299, 5], [299]])),
+]
+
+
+@given(described_pairs(), st.sampled_from(UNMATCHED_COST_MODES))
+@settings(max_examples=300)
+@example(PINNED_PAIRS[0], "attrs")
+@example(PINNED_PAIRS[0], "zero")
+@example(PINNED_PAIRS[1], "attrs")
+@example(PINNED_PAIRS[2], "attrs")
+@example(PINNED_PAIRS[2], "zero")
+@example(PINNED_PAIRS[3], "attrs")
+@example(PINNED_PAIRS[3], "zero")
+@example(PINNED_PAIRS[4], "zero")
+def test_breakdown_matches_oracle(pair, mode):
+    """The whole breakdown, the lexicographically smallest optimal mapping
+    included, equals the exhaustive oracle's; the total-only score agrees."""
+    rule, sample = pair
+    got = edit_distance(rule, sample, unmatched_cost=mode)
+    assert got == oracle_edit_distance(rule, sample, unmatched_cost=mode)
+    assert distance_metric_select("edit", mode)(rule, sample) == got.total
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_linear_sum_assignment_is_optimal(data):
+    """The exact solver against enumeration, forbidden cells included."""
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(n, 5))
+    cell = st.none() | st.integers(-30, 30)
+    cost = data.draw(st.lists(st.lists(cell, min_size=m, max_size=m),
+                              min_size=n, max_size=n))
+
+    def total(columns):
+        return sum(cost[i][j] for i, j in enumerate(columns))
+    feasible = [p for p in itertools.permutations(range(m), n)
+                if all(cost[i][j] is not None for i, j in enumerate(p))]
+    if not feasible:
+        with pytest.raises(ValueError):
+            linear_sum_assignment(cost)
+        return
+    columns = linear_sum_assignment(cost)
+    assert tuple(columns) in feasible
+    assert total(columns) == min(total(p) for p in feasible)
 
 
 # ---------------------------------------------------------------------------
@@ -269,3 +359,55 @@ def test_find_prototype_jaccard_metric():
     assert rec.sample_id == "near"
     assert rec.metric == "jaccard"
     assert rec.distance == pytest.approx(0.0)
+
+
+@st.composite
+def prototype_cases(draw):
+    """A rule and samples it partly covers: some grown from the rule (one in
+    two shares a witness between two rule entities), some random, some twins
+    of others; ids are unrelated to the order of the samples."""
+    width = draw(st.sampled_from([8, 65]))
+    entity = st.frozensets(st.integers(0, width - 1), min_size=1, max_size=3).map(
+        entity_from_ids)
+    rule = ASD(tuple(draw(st.lists(entity, min_size=1, max_size=3))))
+    descriptions = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.integers(0, 2))
+        if kind == 2 and descriptions:
+            descriptions.append(draw(st.sampled_from(descriptions)))
+            continue
+        strays = draw(st.lists(entity, max_size=3))
+        if kind == 1:
+            descriptions.append(ASD(tuple(strays) or (draw(entity),)))
+            continue
+        witnesses = [e | draw(entity) if draw(st.booleans()) else e for e in rule.entities]
+        if len(witnesses) > 1 and draw(st.booleans()):
+            witnesses[0] |= witnesses.pop()
+        descriptions.append(ASD(tuple(witnesses + strays)))
+    ids = draw(st.permutations([f"s{k}" for k in range(len(descriptions))]))
+    samples = [Sample(i, "pos", d) for i, d in zip(ids, descriptions)]
+    coverage = frozenset(s.id for s in samples if subsumes(rule, s.asd))
+    return ClassClusterDescription(rule, "pos", coverage), samples
+
+
+@given(prototype_cases(), st.sampled_from(METRICS), st.sampled_from(UNMATCHED_COST_MODES))
+@settings(max_examples=300)
+def test_find_prototype_matches_full_breakdown_reference(case, metric, mode):
+    """Scoring by totals alone picks what sorting full breakdowns by
+    (distance, id) picks: the winner, its breakdown and the runner-up order."""
+    ccd, samples = case
+    covered = [s for s in samples if s.id in ccd.coverage]
+    if not covered:
+        return
+    full = {s.id: edit_distance(ccd.asd, s.asd, mode) for s in covered}
+    edit = distance_metric_select("edit", mode)
+    assert all(edit(ccd.asd, s.asd) == full[s.id].total for s in covered)
+    if metric == "edit":
+        ranked = sorted((full[s.id].total, s.id) for s in covered)
+    else:
+        ranked = sorted((1.0 - similarity(ccd.asd, s.asd), s.id) for s in covered)
+    rec = find_prototype(ccd, samples, metric=metric, unmatched_cost=mode,
+                         runners_up=len(covered))
+    assert (rec.distance, rec.sample_id) == ranked[0]
+    assert rec.breakdown == full[rec.sample_id]
+    assert [(d, sid) for sid, d in rec.runners_up] == ranked[1:]
