@@ -282,8 +282,13 @@ def merge(a: ASD, b: ASD) -> ASD:
     an antichain.  The result subsumes both inputs, and any description that
     subsumes both also subsumes the result.  When the inputs share nothing the
     result is the single empty entity, which subsumes everything.
+
+    The result is known to be an antichain: its cached ``trimmed`` is set to
+    itself, so ``is_antichain`` does not trim it again.
     """
     if not a.entities or not b.entities:
         raise ValueError("merge is undefined for an empty description")
     products = {x & y for x in a.entities for y in b.entities}
-    return ASD(trim(products))
+    merged = ASD(trim(products))
+    merged.__dict__["trimmed"] = merged  # where cached_property keeps its value
+    return merged

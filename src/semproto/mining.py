@@ -5,8 +5,10 @@ description, the remaining positives are visited most-similar first and
 greedily merged in, keeping a merge only when the generalized description
 still describes no negative sample.  The surviving candidates are deduplicated
 and a greedy maximum-coverage pass picks the final rule set.  A class's traces
-share their work through a memo of the descriptions they pass through (see
-``_trace``).
+run in lockstep over a map from each description to the one it steps to
+next, so each distinct description is ranked and expanded once, and each
+round ranks all of its descriptions in a few batched numpy calls (see
+``_trace`` and ``SimilarityRanker``).
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import copy
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -177,9 +179,15 @@ def check_ccd(candidate: ASD, negatives: Sequence[Sample]) -> bool:
     """True iff the candidate describes no negative sample, by a naive scan.
 
     A candidate holding only the empty entity describes everything, so it
-    passes only when there are no negatives at all.
+    passes only when there are no negatives at all.  A negative whose
+    attribute union lacks an attribute of the candidate's is skipped
+    unscanned: if the candidate describes a negative, each of its entities
+    lies inside some entity of the negative, so its union lies inside the
+    negative's.
     """
-    return all(not subsumes(candidate, n.asd) for n in negatives)
+    union = candidate.attribute_union
+    return not any(union & n.asd.attribute_union == union and subsumes(candidate, n.asd)
+                   for n in negatives)
 
 
 # ----------------------------------------------------------------------------
@@ -187,24 +195,36 @@ def check_ccd(candidate: ASD, negatives: Sequence[Sample]) -> bool:
 # ----------------------------------------------------------------------------
 
 _WORD = (1 << 64) - 1
+# The most float64 values any one temporary of a scoring batch may hold.
+_BATCH_CAP = 1 << 16
 
 
 class SimilarityRanker:
-    """Orders one class's positives by similarity to a reference description.
+    """Orders one class's positives by similarity to reference descriptions.
 
     The distinct entities of the positives are interned once as rows of
     ``uint64`` words (one word per 64 attributes), and each positive is kept
-    as a padded column of indices into them.  For a reference description
-    one R x U Jaccard table (R reference entities, U interned entities)
-    scores every positive at once.  The per-entity best matches are added
-    one at a time, in entity order, from 0.0, exactly as ``asd.similarity``
-    adds them, so each score equals ``similarity(reference, positive)`` bit
-    for bit; ``np.sum`` would add in another order.
+    as a padded column of indices into them.  ``scores`` takes a batch of
+    references and scores every positive against each of them in a number
+    of numpy calls set by the widest reference and positive, whatever the
+    batch's size: one Jaccard row
+    against the interned entities per distinct reference entity, each row's
+    best match in each positive by a maximum over the positives' entity
+    slots, and each reference's best match for each interned entity by a
+    maximum over its entities' rows.
 
-    The ranking of all positives (descending score, then ascending id) is
-    memoized per distinct reference, so re-sorting a trace's remaining
-    positives only filters it.  References are merges of positives, so they
-    are never wider than the interned entities.
+    Each score equals ``similarity(reference, positive)`` bit for bit.  The
+    best matches are added one entity at a time, in entity order, from 0.0,
+    exactly as ``asd.similarity`` adds them (``np.sum`` would add in another
+    order).  References and positives of fewer entities are padded to the
+    widest with an index of a table row or column that stays 0.0.  Jaccard
+    values are never negative, so padding never wins a maximum, and adding
+    it leaves a sum unchanged (x + 0.0 == x), so a reference's row does not
+    depend on which batch it was scored in.
+
+    ``batches`` splits references so that no temporary of a batch holds
+    more than ``_BATCH_CAP`` float64 values.  References are merges of
+    positives, so they are never wider than the interned entities.
     """
 
     def __init__(self, positives: Sequence[tuple[str, ASD]]):
@@ -221,9 +241,7 @@ class SimilarityRanker:
         self._words = max(1, -(-width // 64))
         self._entities = self._pack(tuple(interned))
         # _slots[k, p] is the k-th entity of positive p.  Padding points one
-        # past the interned entities, at a column of the Jaccard table that
-        # stays 0.0: it never wins a maximum and adding it leaves a sum
-        # unchanged.
+        # past the interned entities, at the table column that stays 0.0.
         self._slots = np.full((max(map(len, rows), default=0), len(rows)),
                               len(interned), dtype=np.intp)
         for p, entities in enumerate(rows):
@@ -231,112 +249,175 @@ class SimilarityRanker:
         self._counts = np.array([len(r) for r in rows], dtype=np.float64)
         # Stable sorting of this id order by score breaks ties by ascending id.
         self._by_id = np.argsort(self.ids, kind="stable")
-        self._memo: dict[ASD, np.ndarray] = {}
 
     def _pack(self, entities: Sequence[int]) -> np.ndarray:
         words = [[(e >> (64 * w)) & _WORD for w in range(self._words)] for e in entities]
         return np.array(words, dtype=np.uint64).reshape(len(entities), self._words)
 
-    def scores(self, reference: ASD) -> np.ndarray:
-        """``similarity(reference, p)`` for every positive p, in input order."""
-        if not reference.entities:
-            raise ValueError("similarity is undefined for an empty description")
-        if reference.attribute_union >> (64 * self._words):
-            raise ValueError("reference is wider than the interned entities")
-        ref = self._pack(reference.entities)[:, None, :]
-        inter = np.bitwise_count(ref & self._entities).sum(axis=2)
-        union = np.bitwise_count(ref | self._entities).sum(axis=2)
-        table = np.zeros((len(reference.entities), len(self._entities) + 1))
+    def batches(self, references: Sequence[ASD]) -> Iterator[list[ASD]]:
+        """The references in order, split into batches within ``_BATCH_CAP``.
+
+        A batch of B references with E distinct entities makes temporaries
+        of E x (interned entities) x words, E x positives, B x (interned
+        entities) and B x positives values.  A single reference may exceed
+        the cap; it is never split.
+        """
+        per_entity = max((len(self._entities) + 1) * self._words, len(self.asds))
+        per_reference = max(len(self._entities) + 1, len(self.asds))
+        batch: list[ASD] = []
+        seen: set[int] = set()
+        for reference in references:
+            fresh = [e for e in reference.entities if e not in seen]
+            if batch and ((len(batch) + 1) * per_reference > _BATCH_CAP
+                          or (len(seen) + len(fresh) + 1) * per_entity > _BATCH_CAP):
+                yield batch
+                batch, seen, fresh = [], set(), reference.entities
+            batch.append(reference)
+            seen.update(fresh)
+        if batch:
+            yield batch
+
+    def scores(self, references: Sequence[ASD]) -> np.ndarray:
+        """``similarity(references[b], p)`` at [b, p], positives in input order."""
+        rows: dict[int, int] = {}
+        for reference in references:
+            if not reference.entities:
+                raise ValueError("similarity is undefined for an empty description")
+            if reference.attribute_union >> (64 * self._words):
+                raise ValueError("reference is wider than the interned entities")
+            for e in reference.entities:
+                rows.setdefault(e, len(rows))
+        # refs[b, r] is the table row of reference b's r-th entity.  Padding
+        # points one past the distinct entities, at the row that stays 0.0.
+        refs = np.full((len(references), max(len(r.entities) for r in references)),
+                       len(rows), dtype=np.intp)
+        for b, reference in enumerate(references):
+            refs[b, :len(reference.entities)] = [rows[e] for e in reference.entities]
+        table = self._jaccard(tuple(rows))
+        forward = self._forward(table, refs)
+        # match[b, u]: the best match of interned entity u in reference b
+        match = table[refs[:, 0]]
+        for entity in refs.T[1:]:
+            np.maximum(match, table[entity], out=match)
+        backward = np.zeros_like(forward)
+        for slot in self._slots:        # per positive entity, in order
+            backward += match[:, slot]
+        # 0.5 * (forward / sizes) + 0.5 * (backward / counts), in place
+        forward /= np.array([[len(r.entities)] for r in references], dtype=np.float64)
+        forward *= 0.5
+        backward /= self._counts
+        backward *= 0.5
+        forward += backward
+        return forward
+
+    # _jaccard and _forward are functions of their own so that their
+    # temporaries are freed before scores makes the next ones.
+
+    def _jaccard(self, entities: Sequence[int]) -> np.ndarray:
+        """Jaccard of each given entity (rows) with each interned entity
+        (columns), plus a last row and a last column of 0.0 for padding."""
+        packed = self._pack(entities)[:, None, :]
+        inter = np.bitwise_count(packed & self._entities).sum(axis=2)
+        union = np.bitwise_count(packed | self._entities).sum(axis=2)
+        table = np.zeros((len(entities) + 1, len(self._entities) + 1))
         # Two empty entities score 1.0, as in asd.jaccard.
-        table[:, :-1] = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
-        forward = np.zeros(len(self.asds))
-        for best in table[:, self._slots].max(axis=1):  # per reference entity
-            forward += best
-        backward = np.zeros(len(self.asds))
-        for best in table.max(axis=0)[self._slots]:     # per positive entity
-            backward += best
-        return (0.5 * (forward / len(reference.entities))
-                + 0.5 * (backward / self._counts))
+        table[:-1, :-1] = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
+        return table
 
-    def ranking(self, reference: ASD) -> np.ndarray:
-        """Positions of all positives, most similar first, ties by ascending id."""
-        order = self._memo.get(reference)
-        if order is None:
-            by_id = self._by_id
-            order = by_id[np.argsort(-self.scores(reference)[by_id], kind="stable")]
-            order = self._memo[reference] = order.astype(np.int32)
-        return order
+    def _forward(self, table: np.ndarray, refs: np.ndarray) -> np.ndarray:
+        """Sum over each reference's entities, in order, of their best
+        matches in each positive."""
+        # best[e, p]: the best match of distinct reference entity e in positive p
+        best = table[:, self._slots[0]]
+        for slot in self._slots[1:]:
+            np.maximum(best, table[:, slot], out=best)
+        forward = np.zeros((len(refs), len(self.asds)))
+        for entity in refs.T:           # per reference entity, in order
+            forward += best[entity]
+        return forward
 
-
-def _sort_by_similarity(remaining: np.ndarray, reference: ASD,
-                        ranker: SimilarityRanker) -> np.ndarray:
-    """Positions flagged in ``remaining``, by descending similarity, then id."""
-    order = ranker.ranking(reference)
-    return order[remaining[order]]
+    def rankings(self, references: Sequence[ASD]) -> np.ndarray:
+        """Row b: positions of all positives, most similar to ``references[b]``
+        first, ties by ascending id."""
+        by_id = self._by_id
+        scores = self.scores(references)[:, by_id]
+        np.negative(scores, out=scores)
+        return by_id[np.argsort(scores, axis=1, kind="stable")]
 
 
 # ----------------------------------------------------------------------------
 # seed traces
 # ----------------------------------------------------------------------------
 
-def _trace(seed: int, index: NegativeAttributeIndex, ranker: SimilarityRanker,
-           positions: np.ndarray, memo: dict[ASD, ASD]) -> ASD:
-    """Run one seed's greedy generalization and return its final description.
+def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
+           ranker: SimilarityRanker, positions: np.ndarray) -> list[ASD]:
+    """Run the given seeds' greedy generalizations in lockstep and return
+    their final descriptions, in seed order.
 
-    ``seed`` is the ranker position of the seed, and ``positions[r]`` the
-    index sample position of ranker position ``r``.  ``remaining`` flags, by
-    ranker position, the positives still to visit (at first, all but the
-    seed); an accepted merge clears the flags of those visited before it.
+    ``seeds`` are ranker positions of distinct descriptions, and
+    ``positions[r]`` is the index sample position of ranker position ``r``.
+    A seed's trace visits the positives it has not yet visited, most similar
+    to its description first, and moves to the first merge that describes
+    no negative; it ends when none does.
 
     Let the description D be an antichain: an antichain seed, or any
     accepted merge (``merge`` returns an antichain).  Two kinds of positive
-    can no longer change the trace.  One that D describes merges with D into
-    D itself, and stays described by every later, more general description.
-    One whose merge with some earlier description was rejected is rejected
-    again: its merge with D subsumes the rejected merge, so it describes the
-    same negative.  So whenever the description is an antichain its
-    described positives are cleared, and the rest of the trace depends on D
-    alone.  ``memo`` maps each such D, reached by an earlier trace of the
-    same class, to its final description; a trace that reaches one stops
-    there.  A seed that is not an antichain keeps its described positives:
-    the first one it visits trims it, because ``merge(D, p) == D.trimmed``
-    whenever D subsumes p.
+    can no longer change a trace at D.  One that D describes merges with D
+    into D itself, and stays described by every later, more general
+    description.  One whose merge with some earlier description was rejected
+    is rejected again: its merge with D subsumes the rejected merge, so it
+    describes the same negative.  So the step from D, next(D), depends on D
+    alone, whichever trace reached it.  ``step`` maps each expanded D to
+    next(D), or to D itself when D is final, and each distinct D is expanded
+    once.  A seed that is not an antichain takes one step of its own: it
+    keeps its described positives (the first it visits trims it, because
+    ``merge(D, p) == D.trimmed`` whenever D subsumes p) and excludes only
+    itself.
+
+    The traces advance breadth first.  ``frontier`` maps each description
+    still to expand to the positives left to visit there, flagged by ranker
+    position: those not visited by a trace that reached it, the flags of
+    several such traces ANDed together (a positive any of them cleared is
+    described or rejected at D).  Each round ranks its whole frontier in a
+    few batched ``SimilarityRanker`` calls, then walks each description's
+    queue; the new descriptions reached form the next round's frontier.
     """
-    remaining = np.ones(len(ranker.asds), dtype=bool)
-    remaining[seed] = False
-    description = ranker.asds[seed]
-    antichain = description.is_antichain
-    passed = []
-    while True:
-        if antichain:
-            final = memo.get(description)
-            if final is not None:
-                description = final
-                break
-            passed.append(description)
-            remaining[index.described_at(description, positions, remaining)] = False
-        queue = _sort_by_similarity(remaining, description, ranker)
-        for visited, position in enumerate(queue, 1):
-            # No positive left to visit is described by the description, or
-            # the description is not an antichain, so every merge changes it.
-            generalized = merge(description, ranker.asds[position])
-            if index.first_described(generalized) is None:
-                description = generalized
-                antichain = True  # merge returns one; is_antichain would re-trim
-                remaining[queue[:visited]] = False
-                break
-        else:
-            break
-    for reached in passed:
-        memo[reached] = description
-    return description
-
-
-def _trace_seeds(seeds: Sequence[int], index: NegativeAttributeIndex,
-                 ranker: SimilarityRanker, positions: np.ndarray) -> list[ASD]:
-    """Final descriptions of the given seeds' traces, which share one fresh memo."""
-    memo: dict[ASD, ASD] = {}
-    return [_trace(seed, index, ranker, positions, memo) for seed in seeds]
+    step: dict[ASD, ASD] = {}
+    frontier: dict[ASD, np.ndarray] = {}
+    for seed in seeds:
+        remaining = np.ones(len(ranker.asds), dtype=bool)
+        remaining[seed] = False
+        frontier[ranker.asds[seed]] = remaining
+    while frontier:
+        reached: dict[ASD, np.ndarray] = {}
+        for batch in ranker.batches(list(frontier)):
+            for description, order in zip(batch, ranker.rankings(batch)):
+                remaining = frontier[description]
+                if description.is_antichain:
+                    remaining[index.described_at(description, positions, remaining)] = False
+                step[description] = description
+                queue = order[remaining[order]]
+                for visited, position in enumerate(queue, 1):
+                    # No positive left to visit is described by the
+                    # description, or it is not an antichain, so every
+                    # merge changes it.
+                    generalized = merge(description, ranker.asds[position])
+                    if index.first_described(generalized) is None:
+                        step[description] = generalized
+                        remaining[queue[:visited]] = False
+                        if generalized in reached:
+                            reached[generalized] &= remaining
+                        elif generalized not in step and generalized not in frontier:
+                            reached[generalized] = remaining
+                        break
+        frontier = reached
+    finals = []
+    for seed in seeds:
+        description = ranker.asds[seed]
+        while step[description] != description:
+            description = step[description]
+        finals.append(description)
+    return finals
 
 
 # Worker-side state for parallel mining: what mine_ccds built for the class,
@@ -357,10 +438,11 @@ def _pool_init(index: NegativeAttributeIndex, ranker: SimilarityRanker,
 
 
 def _pool_trace(seeds: list[int]) -> list[tuple[int, ...]]:
-    """Trace one fixed chunk of seeds.  Its memo starts empty, so what the
-    chunk does never depends on which worker ran the chunks before it."""
+    """Trace one fixed chunk of seeds in lockstep.  Its state map starts
+    empty, so what the chunk does never depends on which worker ran the
+    chunks before it."""
     assert _POOL_STATE is not None
-    return [asd.entities for asd in _trace_seeds(
+    return [asd.entities for asd in _trace(
         seeds, _POOL_STATE["index"], _POOL_STATE["ranker"], _POOL_STATE["positions"])]
 
 
@@ -391,7 +473,7 @@ def mine_ccds(positives: Sequence[Sample], index: NegativeAttributeIndex,
     its exact positive coverage.  Serial and pooled traces share the
     index's class view and one ranker over the positives.  ``parallelism``
     caps the worker processes (``ConfigError`` below 1); the pool traces
-    fixed chunks of seeds, each with its own memo.
+    fixed chunks of seeds, each chunk in its own lockstep ``_trace``.
     """
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
@@ -430,7 +512,7 @@ def mine_ccds(positives: Sequence[Sample], index: NegativeAttributeIndex,
             raw = [ASD(entities)
                    for chunk in pool.map(_pool_trace, chunks) for entities in chunk]
     else:
-        raw = _trace_seeds(seeds, index, ranker, positions)
+        raw = _trace(seeds, index, ranker, positions)
 
     # Every accepted merge passed the index check inside its trace; the one
     # naive soundness scan runs in pipeline.run_pipeline.

@@ -11,7 +11,8 @@ import random
 from typing import Callable
 
 from .asd import ASD, merge, similarity, subsumes
-from .mining import NegativeAttributeIndex, Sample, greedy_cover, mine_ccds
+from .mining import (NegativeAttributeIndex, Sample, SimilarityRanker, greedy_cover,
+                     mine_ccds)
 from .oracle import (OracleBudget, oracle_coverage_opt, oracle_edit_distance,
                      random_asds, scalar_mine, subsuming_pairs)
 from .prototypes import edit_distance
@@ -123,6 +124,29 @@ def battery_mining_traces(cases: int, seed: int) -> Battery:
     return ("mining-scalar-traces", cases, failures)
 
 
+def battery_ranker_batches(cases: int, seed: int) -> Battery:
+    """Each row of a batched SimilarityRanker.scores call equals the scalar
+    similarity bit for bit, and the same row comes back when the reference
+    is scored alone; references of different entity counts share a batch."""
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(cases):
+        width = rng.choice((15, 64, 65, 300))
+        asds = list(random_asds(rng.randrange(1 << 32), rng.randint(1, 10), max_entities=4,
+                                max_entity_size=4, vocab_size=width))
+        positives = [(f"p{i:02d}", a) for i, a in enumerate(asds)]
+        pool = asds + [merge(rng.choice(asds), rng.choice(asds)) for _ in range(4)]
+        pool += [ASD((0,)), ASD((rng.choice(asds).entities[0],))]
+        references = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+        ranker = SimilarityRanker(positives)
+        rows = ranker.scores(references)
+        if any(row.tolist() != [similarity(reference, a) for a in asds]
+               or ranker.scores([reference]).tobytes() != row.tobytes()
+               for reference, row in zip(references, rows)):
+            failures += 1
+    return ("ranker-batches", cases, failures)
+
+
 ALL_BATTERIES: list[Callable[[int, int], Battery]] = [
     battery_merge_generalizes,
     battery_merge_most_specific,
@@ -130,6 +154,7 @@ ALL_BATTERIES: list[Callable[[int, int], Battery]] = [
     battery_edit_oracle,
     battery_greedy_coverage,
     battery_mining_traces,
+    battery_ranker_batches,
 ]
 
 

@@ -254,6 +254,36 @@ def test_merge_idempotent_on_antichains():
     assert merge(asd, asd) == asd
 
 
+def test_merge_results_are_known_antichains(monkeypatch):
+    """merge trims once and marks its result, so is_antichain costs no
+    second trim; a description built directly is still trimmed to tell."""
+    import semproto.asd as asd_module
+
+    calls = []
+
+    def counted_trim(entities):
+        calls.append(1)
+        return trim(entities)
+    monkeypatch.setattr(asd_module, "trim", counted_trim)
+    m = merge(ASD.from_id_sets([[0, 1], [0, 2]]), ASD.from_id_sets([[0, 1, 2]]))
+    assert m.is_antichain and m.trimmed is m
+    assert len(calls) == 1
+    built = ASD(m.entities)
+    assert built == m and built.is_antichain
+    assert len(calls) == 2
+    nested = ASD.from_id_sets([[0], [0, 1]])
+    assert not nested.is_antichain
+    assert len(calls) == 3
+
+
+@given(nonempty_asds, nonempty_asds)
+def test_merge_antichain_flag_matches_trim(a, b):
+    m = merge(a, b)
+    assert m.is_antichain and len(trim(m.entities)) == len(m.entities)
+    for asd in (a, b):
+        assert asd.is_antichain == (len(trim(asd.entities)) == len(asd.entities))
+
+
 def test_merge_rejects_empty_input():
     z = ASD.from_id_sets([[0]])
     with pytest.raises(ValueError):

@@ -27,9 +27,9 @@ from semproto import (
     subsumes,
 )
 from semproto import mining, oracle
-from semproto.mining import SimilarityRanker, _sort_by_similarity
+from semproto.mining import SimilarityRanker
 from semproto.oracle import scalar_mine
-from semproto.selftest import battery_greedy_coverage
+from semproto.selftest import battery_greedy_coverage, battery_ranker_batches
 
 
 def mk_samples(vocab, label, named_asds):
@@ -377,12 +377,12 @@ def ranker_inputs(draw):
 def test_ranker_scores_equal_scalar_similarity(case):
     positives, references = case
     ranker = SimilarityRanker(positives)
-    # each reference twice: the second ranking comes from the memo
-    for reference in references + references:
-        scores = ranker.scores(reference)
+    for reference in references:
+        [scores] = ranker.scores([reference])
         expected = [similarity(reference, asd) for _, asd in positives]
         assert scores.tolist() == expected
-        ranked = [positives[i] for i in ranker.ranking(reference)]
+        [order] = ranker.rankings([reference])
+        ranked = [positives[i] for i in order]
         assert ranked == sorted(positives, key=lambda it: (-similarity(reference, it[1]),
                                                            it[0]))
 
@@ -392,11 +392,11 @@ def test_ranker_scores_equal_scalar_similarity(case):
 def test_sort_by_similarity_matches_scalar_sort(case, data):
     positives, references = case
     ranker = SimilarityRanker(positives)
-    for reference in references:
+    for reference, order in zip(references, ranker.rankings(references)):
         remaining = np.array(data.draw(st.lists(st.booleans(), min_size=len(positives),
                                                 max_size=len(positives))), dtype=bool)
         items = [item for item, keep in zip(positives, remaining) if keep]
-        got = [positives[i] for i in _sort_by_similarity(remaining, reference, ranker)]
+        got = [positives[i] for i in order[remaining[order]]]
         assert got == sorted(items, key=lambda it: (-similarity(reference, it[1]), it[0]))
 
 
@@ -404,10 +404,74 @@ def test_ranker_rejects_empty_and_foreign_descriptions():
     with pytest.raises(ValueError):
         SimilarityRanker([("p", ASD(()))])
     ranker = SimilarityRanker([("p", ASD.from_id_sets([[0, 1]]))])
-    with pytest.raises(ValueError):
-        ranker.scores(ASD(()))
-    with pytest.raises(ValueError):
-        ranker.scores(ASD.from_id_sets([[64]]))
+    for bad in (ASD(()), ASD.from_id_sets([[64]])):
+        with pytest.raises(ValueError):
+            ranker.scores([bad])
+        with pytest.raises(ValueError):
+            ranker.scores([ASD.from_id_sets([[0]]), bad])
+
+
+@given(ranker_inputs(), st.data())
+@settings(max_examples=300)
+def test_batched_scores_equal_scalar_similarity_bit_for_bit(case, data):
+    """Each row of one batched call equals asd.similarity to the last bit,
+    and a reference's row holds the same bytes alone or in any batch, so
+    padding to the batch's widest reference changes nothing."""
+    positives, references = case
+    ranker = SimilarityRanker(positives)
+    rows = ranker.scores(references)
+    assert rows.shape == (len(references), len(positives))
+    for reference, row in zip(references, rows):
+        assert [x.hex() for x in row.tolist()] == [similarity(reference, asd).hex()
+                                                   for _, asd in positives]
+        assert ranker.scores([reference]).tobytes() == row.tobytes()
+    batch = data.draw(st.lists(st.sampled_from(range(len(references))), min_size=1,
+                               max_size=12))
+    for i, row in zip(batch, ranker.scores([references[i] for i in batch])):
+        assert row.tobytes() == rows[i].tobytes()
+
+
+def test_ranker_batches_battery():
+    assert battery_ranker_batches(300, 0) == ("ranker-batches", 300, 0)
+
+
+@given(ranker_inputs(), st.sampled_from([1, 40, 200, 1 << 16]))
+@settings(max_examples=200)
+def test_batches_keep_the_order_and_the_cap(case, cap):
+    positives, references = case
+    ranker = SimilarityRanker(positives)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mining, "_BATCH_CAP", cap)
+        batches = list(ranker.batches(references))
+    assert [r for batch in batches for r in batch] == references
+    interned, words = len(ranker._entities) + 1, ranker._words
+    for batch in batches[:-1]:
+        distinct = len({e for r in batch for e in r.entities})
+        assert len(batch) * max(interned, len(positives)) <= cap or len(batch) == 1
+        assert (distinct + 1) * max(interned * words, len(positives)) <= cap or len(batch) == 1
+
+
+def test_batches_bound_the_ranking_memory():
+    """Ranking one class's 200 positives against 2,200 references, batch by
+    batch, peaks at a few temporaries of the cap; one unsplit call peaks
+    several times higher.  The rankings kept are not counted."""
+    import tracemalloc
+
+    dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=200, seed=7))
+    positives, _ = dataset.split(dataset.labels()[0])
+    ranker = SimilarityRanker([(p.id, p.asd) for p in positives])
+    rng = random.Random(1)
+    references = [p.asd for p in positives] + [
+        merge(rng.choice(positives).asd, rng.choice(positives).asd) for _ in range(2000)]
+    peaks = []
+    for batches in ([references], list(ranker.batches(references))):
+        tracemalloc.start()
+        orders = [ranker.rankings(batch) for batch in batches]
+        peaks.append(tracemalloc.get_traced_memory()[1] - sum(o.nbytes for o in orders))
+        tracemalloc.stop()
+    unsplit, batched = peaks
+    cap_bytes = 8 * mining._BATCH_CAP
+    assert batched < 6 * cap_bytes and unsplit > 3 * batched
 
 
 @given(st.integers(0, 10_000), st.sampled_from([8, 70]))
@@ -480,7 +544,8 @@ def test_memoized_mining_matches_scalar_mine(case):
 
 def test_trace_memo_saves_merges(monkeypatch):
     """On scenes without twins, where seed dedupe saves nothing, mine_ccds
-    merges strictly less often than the plain scalar traces."""
+    expands no description twice and merges strictly less often than the
+    plain scalar traces."""
     calls = {mining: 0, oracle: 0}
 
     def counted(module):
@@ -490,19 +555,52 @@ def test_trace_memo_saves_merges(monkeypatch):
         return counted_merge
     monkeypatch.setattr(mining, "merge", counted(mining))
     monkeypatch.setattr(oracle, "merge", counted(oracle))
+    ranked = ranked_references(monkeypatch)
     dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=30, seed=3))
     for label in dataset.labels():
         positives, negatives = dataset.split(label)
         assert len({p.asd for p in positives}) == len(positives)
+        ranked.clear()
         assert [c.asd for c in mine(positives, negatives)] == scalar_mine(positives,
                                                                           negatives)
+        assert len(set(ranked)) == len(ranked) >= len(positives)
     assert 0 < calls[mining] < calls[oracle]
+
+
+def ranked_references(monkeypatch):
+    """The references of every SimilarityRanker.rankings call, in call order."""
+    ranked = []
+    rankings = SimilarityRanker.rankings
+
+    def logged(self, references):
+        ranked.extend(references)
+        return rankings(self, references)
+    monkeypatch.setattr(SimilarityRanker, "rankings", logged)
+    return ranked
+
+
+def test_each_description_is_ranked_once(monkeypatch):
+    """On scenes (30 per class, seed 3) each class ranks each distinct
+    description once, 326 in all; traces run one at a time, each with a memo
+    of the states earlier traces passed, ranked 326 too (135, 118 and 73)."""
+    ranked = ranked_references(monkeypatch)
+    dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=30, seed=3))
+    index = NegativeAttributeIndex(dataset.samples)
+    per_class = []
+    for label in dataset.labels():
+        ranked.clear()
+        mine_ccds(dataset.split(label)[0], index)
+        assert len(set(ranked)) == len(ranked)
+        per_class.append(len(ranked))
+    assert sum(per_class) <= 326
 
 
 def test_trace_memo_is_keyed_by_the_description(monkeypatch):
     """p1's trace rejects p3, then reaches [[A]] by merging p2.  p2's trace
-    reaches [[A]] by merging p1 with p3 still to visit, and stops there, since
-    p3 was rejected at a more specific description and stays rejected."""
+    reaches [[A]] by merging p1 with p3 still to visit.  [[A]] is expanded
+    once, with no merge, in either seed order: p3 was rejected at a more
+    specific description, so it stays rejected, and the state map keeps
+    only the positives that no trace reaching [[A]] has cleared."""
     v = Vocabulary()
     positives = mk_samples(v, "pos", [("p1", [["A", "B", "X"]]),
                                       ("p2", [["A", "C", "W"]]),
@@ -514,18 +612,46 @@ def test_trace_memo_is_keyed_by_the_description(monkeypatch):
         merges.append((a, b))
         return merge(a, b)
     monkeypatch.setattr(mining, "merge", counted_merge)
+    ranked = ranked_references(monkeypatch)
     index = NegativeAttributeIndex(positives + negatives).for_class("pos")
     ranker = SimilarityRanker([(p.id, p.asd) for p in positives])
     positions = np.arange(len(positives))  # the positives lead the index
     p1, p2, p3 = (p.asd for p in positives)
     rule = ASD.from_names(v, [["A"]])
-    memo = {}
-    assert mining._trace(0, index, ranker, positions, memo) == rule
-    assert merges == [(p1, p3), (p1, p2)]
-    merges.clear()
-    assert mining._trace(1, index, ranker, positions, memo) == rule
-    assert merges == [(p2, p1)]
+    first = {p1: [(p1, p3), (p1, p2)], p2: [(p2, p1)]}
+    for seeds in ([0, 1], [1, 0]):
+        merges.clear()
+        ranked.clear()
+        assert mining._trace(seeds, index, ranker, positions) == [rule, rule]
+        starts = [ranker.asds[seed] for seed in seeds]
+        assert ranked == starts + [rule]
+        assert merges == [m for start in starts for m in first[start]]
     assert [c.asd for c in mine(positives, negatives)] == scalar_mine(positives, negatives)
+
+
+def test_batch_cap_does_not_change_candidates(monkeypatch):
+    """A frontier split into batches of one reference, or of a few, mines
+    the same candidates, serially and in an in-process pool."""
+    monkeypatch.setattr(mining, "ProcessPoolExecutor", in_process_pool([]))
+    monkeypatch.setattr(mining, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mining, "_POOL_STATE", None)
+    sizes = []
+    batches = SimilarityRanker.batches
+
+    def logged(self, references):
+        for batch in batches(self, references):
+            sizes.append(len(batch))
+            yield batch
+    monkeypatch.setattr(SimilarityRanker, "batches", logged)
+    for cap in (1, 120):
+        monkeypatch.setattr(mining, "_BATCH_CAP", cap)
+        sizes.clear()
+        for seed in range(6):
+            positives, negatives = random_instance(seed, n_pos=12)
+            expected = scalar_mine(positives, negatives)
+            for parallelism in (1, 2):
+                assert [c.asd for c in mine(positives, negatives, parallelism)] == expected
+        assert max(sizes) == 1 if cap == 1 else max(sizes) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +667,41 @@ def test_check_ccd_basics():
     # the single empty entity describes everything
     assert not check_ccd(ASD((0,)), negatives)
     assert check_ccd(ASD((0,)), [])
+
+
+@st.composite
+def naive_scan_inputs(draw):
+    """Candidates and a possibly empty negative list over a vocabulary of 8,
+    64, 65 or 300 ids.
+
+    Attributes come from a small pool that always holds the widest id, so a
+    candidate's attributes often lie inside a negative's union without the
+    negative being described.  The candidates include the lone empty entity,
+    the empty description, and entity-wise subsets of negatives, which those
+    negatives describe.
+    """
+    width = draw(st.sampled_from([8, 64, 65, 300]))
+    pool = sorted(draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=7))
+                  | {width - 1})
+    entity = st.frozensets(st.sampled_from(pool), max_size=4)
+    descriptions = st.lists(entity, min_size=1, max_size=4).map(ASD.from_id_sets)
+    negatives = [Sample(f"n{i}", "neg", asd)
+                 for i, asd in enumerate(draw(st.lists(descriptions, max_size=8)))]
+    candidates = [ASD((0,)), ASD(())] + draw(st.lists(descriptions, max_size=4))
+    for n in negatives[:3]:
+        keep = draw(st.integers(0, (1 << width) - 1))
+        candidates.append(ASD(tuple(e & keep for e in n.asd.entities)))
+    return candidates, negatives
+
+
+@given(naive_scan_inputs())
+@settings(max_examples=300)
+def test_check_ccd_matches_a_plain_subsumption_scan(case):
+    """The attribute-union skip in check_ccd changes no verdict."""
+    candidates, negatives = case
+    for candidate in candidates:
+        assert check_ccd(candidate, negatives) == (
+            not any(subsumes(candidate, n.asd) for n in negatives))
 
 
 @given(st.integers(0, 500))
