@@ -259,12 +259,15 @@ def _directed_similarity(xs: Sequence[int], ys: Sequence[int]) -> float:
 def trim(entities: Iterable[int]) -> tuple[int, ...]:
     """Drop entities that are proper subsets of another; keep equal ones once.
 
-    The result is an antichain under set inclusion.  Trimming never changes
-    which data points a description describes, because any witness for a
-    dropped entity also witnesses the superset entity that covered it.
+    The result is an antichain under set inclusion, in no canonical order
+    (``ASD`` sorts its entities).  Trimming never changes which data points
+    a description describes, because any witness for a dropped entity also
+    witnesses the superset entity that covered it.
     """
-    # Largest first: a proper subset can only be contained in an earlier entity.
-    ordered = sorted(set(entities), key=entity_key, reverse=True)
+    # Largest first: a proper subset is strictly smaller, so it can only be
+    # contained in an earlier entity, and entities of equal size never
+    # contain one another, so their order does not change what is kept.
+    ordered = sorted(set(entities), key=int.bit_count, reverse=True)
     kept: list[int] = []
     for e in ordered:
         for k in kept:

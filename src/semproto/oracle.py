@@ -9,16 +9,17 @@ implementations in property and acceptance tests.  Budgets keep the
 enumeration small enough to finish in seconds.  ``scalar_mine`` is the
 reference for mining: the miner's greedy traces run with the scalar ``asd``
 operations only, and with none of the miner's index, ranker, seed dedupe or
-trace memo.
+trace memo.  ``oracle_trim`` is the reference for ``asd.trim``: the same
+antichain, found by visiting entities in full canonical order.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .asd import ASD, merge, similarity, subsumes
+from .asd import ASD, entity_key, merge, similarity, subsumes
 from .errors import BudgetError
 from .prototypes import EditDistanceBreakdown
 
@@ -117,6 +118,21 @@ def oracle_coverage_opt(coverages: Sequence[frozenset], k: int,
         if len(union) > best:
             best = len(union)
     return best
+
+
+# ----------------------------------------------------------------------------
+# trimming in canonical order
+# ----------------------------------------------------------------------------
+
+def oracle_trim(entities: Iterable[int]) -> tuple[int, ...]:
+    """The antichain of ``entities``, found by visiting them largest first in
+    full canonical order (size, then ascending ids).  ``asd.trim``, which
+    orders them by size alone, must keep the same set."""
+    kept: list[int] = []
+    for e in sorted(set(entities), key=entity_key, reverse=True):
+        if not any(_is_subset(e, k) for k in kept):
+            kept.append(e)
+    return tuple(kept)
 
 
 # ----------------------------------------------------------------------------

@@ -10,11 +10,11 @@ import math
 import random
 from typing import Callable
 
-from .asd import ASD, merge, similarity, subsumes
+from .asd import ASD, merge, similarity, subsumes, trim
 from .mining import (NegativeAttributeIndex, Sample, SimilarityRanker, greedy_cover,
                      mine_ccds)
 from .oracle import (OracleBudget, oracle_coverage_opt, oracle_edit_distance,
-                     random_asds, scalar_mine, subsuming_pairs)
+                     oracle_trim, random_asds, scalar_mine, subsuming_pairs)
 from .prototypes import edit_distance
 
 Battery = tuple[str, int, int]  # name, cases, failures
@@ -48,6 +48,31 @@ def battery_merge_most_specific(cases: int, seed: int) -> Battery:
         if not subsumes(upper, merge(z1, z2)):
             failures += 1
     return ("merge-most-specific", cases, failures)
+
+
+def battery_merge_canonical(cases: int, seed: int) -> Battery:
+    """merge(a, b) is the canonical description of the reference trim of
+    its entity products and is marked as its own trim, and trim keeps the
+    reference's set; entities overlap often, over 15 to 300 attributes,
+    and some descriptions hold the empty entity."""
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(cases):
+        width = rng.choice((15, 64, 65, 300))
+        pool = rng.sample(range(width), min(width, 8))
+
+        def description() -> ASD:
+            entities = [sum(1 << a for a in rng.sample(pool, rng.randint(0, 5)))
+                        for _ in range(rng.randint(1, 5))]
+            return ASD(tuple(entities))
+        a, b = description(), description()
+        products = [x & y for x in a.entities for y in b.entities]
+        reference = oracle_trim(products)
+        m = merge(a, b)
+        if (m != ASD(reference) or m.__dict__.get("trimmed") is not m
+                or set(trim(products)) != set(reference)):
+            failures += 1
+    return ("merge-canonical", cases, failures)
 
 
 def battery_similarity(cases: int, seed: int) -> Battery:
@@ -127,13 +152,16 @@ def battery_mining_traces(cases: int, seed: int) -> Battery:
 def battery_ranker_batches(cases: int, seed: int) -> Battery:
     """Each row of a batched SimilarityRanker.scores call equals the scalar
     similarity bit for bit, and the same row comes back when the reference
-    is scored alone; references of different entity counts share a batch."""
+    is scored alone; references of different entity counts share a batch,
+    and entities are sparse or dense, over one to five words."""
     rng = random.Random(seed)
     failures = 0
     for _ in range(cases):
-        width = rng.choice((15, 64, 65, 300))
+        # Dense entities of up to 40 attributes over 128 or more put bits in
+        # several words and give Jaccard values of many denominators.
+        width = rng.choice((15, 64, 65, 128, 129, 300))
         asds = list(random_asds(rng.randrange(1 << 32), rng.randint(1, 10), max_entities=4,
-                                max_entity_size=4, vocab_size=width))
+                                max_entity_size=rng.choice((4, 40)), vocab_size=width))
         positives = [(f"p{i:02d}", a) for i, a in enumerate(asds)]
         pool = asds + [merge(rng.choice(asds), rng.choice(asds)) for _ in range(4)]
         pool += [ASD((0,)), ASD((rng.choice(asds).entities[0],))]
@@ -150,6 +178,7 @@ def battery_ranker_batches(cases: int, seed: int) -> Battery:
 ALL_BATTERIES: list[Callable[[int, int], Battery]] = [
     battery_merge_generalizes,
     battery_merge_most_specific,
+    battery_merge_canonical,
     battery_similarity,
     battery_edit_oracle,
     battery_greedy_coverage,

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import asds, common_generalizations, generalizations, nonempty_asds, subsumption_chains
 from semproto import ASD, Vocabulary, canonicalize, jaccard, merge, similarity, subsumes, trim
 from semproto.asd import entity_from_ids, entity_ids
+from semproto.oracle import oracle_trim
+from semproto.selftest import battery_merge_canonical
 
 
 def names(vocab, *entity_lists):
@@ -207,6 +210,44 @@ def test_trim_drops_proper_subsets():
     e = entity_from_ids
     kept = trim([e([0]), e([0, 1]), e([2]), e([0, 1])])
     assert set(kept) == {e([0, 1]), e([2])}
+
+
+@st.composite
+def entity_lists(draw):
+    """Two lists of entities over 15, 64, 65 or 300 attributes, drawn from a
+    small pool that holds the widest id, so entities nest and repeat often.
+    Entities may be empty, and the lists may hold the empty entity."""
+    width = draw(st.sampled_from([15, 64, 65, 300]))
+    pool = sorted(draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=8))
+                  | {width - 1})
+    entity = st.frozensets(st.sampled_from(pool), max_size=6).map(entity_from_ids)
+    lists = []
+    for _ in range(2):
+        entities = draw(st.lists(entity, min_size=1, max_size=6))
+        if draw(st.booleans()):
+            entities.append(0)
+        lists.append(entities)
+    return lists
+
+
+@given(entity_lists())
+@settings(max_examples=300)
+def test_trim_and_merge_match_the_canonical_reference(lists):
+    """trim sorts by size alone; it keeps the set that the canonical-order
+    reference keeps, and merge is the canonical description of that set,
+    marked as its own trim."""
+    xs, ys = lists
+    assert set(trim(xs)) == set(oracle_trim(xs))
+    assert len(trim(xs)) == len(oracle_trim(xs))
+    a, b = ASD(tuple(xs)), ASD(tuple(ys))
+    m = merge(a, b)
+    expected = ASD(oracle_trim(x & y for x in a.entities for y in b.entities))
+    assert m == expected and m.entities == expected.entities
+    assert m.__dict__["trimmed"] is m
+
+
+def test_merge_canonical_battery():
+    assert battery_merge_canonical(300, 0) == ("merge-canonical", 300, 0)
 
 
 def test_trimmed_returns_self_on_antichains():

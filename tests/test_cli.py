@@ -510,9 +510,10 @@ def test_selftest_command(capsys):
     assert main(["selftest", "--budget", "25"]) == EXIT_OK
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 7
+    assert len(lines) == 8
     assert all(line.startswith("PASS") for line in lines)
     assert "PASS ranker-batches (25 cases, 0 failures)" in lines
+    assert "PASS merge-canonical (25 cases, 0 failures)" in lines
 
 
 def test_usage_errors(capsys):

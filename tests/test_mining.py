@@ -18,6 +18,7 @@ from semproto import (
     check_ccd,
     generate_clevr_hans3,
     greedy_cover,
+    jaccard,
     merge,
     mine_ccds,
     random_asds,
@@ -348,17 +349,24 @@ def test_parallel_mining_under_spawn(tmp_path):
 
 @st.composite
 def ranker_inputs(draw):
-    """Positives and references over a vocabulary of 15, 64, 65 or 300 ids.
+    """Positives and references over a vocabulary of 15, 64, 65, 128, 129 or
+    300 ids.
 
-    Attributes come from a small pool that always holds the widest id, so
-    entities overlap often and the top word of the bitsets is used.  Entities
-    may be empty.  The references are the positives, their merges (which may
-    hold the empty entity), the lone empty entity and single entities.
+    Sparse entities take up to 4 attributes from a small pool that always
+    holds the widest id, so entities overlap often and the top word of the
+    bitsets is used.  Dense entities take up to 40 attributes from the whole
+    width, as part-grouped samples do, and over 128 or more ids put bits in
+    several words.  Entities may be empty.  The references are the
+    positives, their merges (which may hold the empty entity), the lone
+    empty entity and single entities.
     """
-    width = draw(st.sampled_from([15, 64, 65, 300]))
-    pool = sorted(draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=7))
-                  | {width - 1})
-    entity = st.frozensets(st.sampled_from(pool), max_size=4)
+    width = draw(st.sampled_from([15, 64, 65, 128, 129, 300]))
+    if draw(st.booleans()):
+        pool = sorted(draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=7))
+                      | {width - 1})
+        entity = st.frozensets(st.sampled_from(pool), max_size=4)
+    else:
+        entity = st.frozensets(st.integers(0, width - 1), max_size=40)
     descriptions = st.lists(entity, min_size=1, max_size=4).map(ASD.from_id_sets)
     asds = draw(st.lists(descriptions, min_size=1, max_size=9))
     ids = draw(st.permutations([f"s{i:02d}" for i in range(len(asds))]))
@@ -398,6 +406,23 @@ def test_sort_by_similarity_matches_scalar_sort(case, data):
         items = [item for item, keep in zip(positives, remaining) if keep]
         got = [positives[i] for i in order[remaining[order]]]
         assert got == sorted(items, key=lambda it: (-similarity(reference, it[1]), it[0]))
+
+
+@given(ranker_inputs())
+@settings(max_examples=200)
+def test_jaccard_table_equals_scalar_jaccard_bit_for_bit(case):
+    """Every cell of the kernel's table is asd.jaccard of its row entity and
+    its interned column entity, to the last bit; the empty entity scores 1.0
+    against itself; the padding row and column hold 0.0."""
+    positives, references = case
+    ranker = SimilarityRanker(positives)
+    interned = list(dict.fromkeys(e for _, asd in positives for e in asd.entities))
+    entities = list(dict.fromkeys([0, *(e for r in references for e in r.entities)]))
+    table = ranker._jaccard(entities)
+    assert table.shape == (len(entities) + 1, len(interned) + 1)
+    for row, e in zip(table.tolist(), entities):
+        assert [x.hex() for x in row[:-1]] == [jaccard(e, u).hex() for u in interned]
+    assert not table[-1].any() and not table[:, -1].any()
 
 
 def test_ranker_rejects_empty_and_foreign_descriptions():
