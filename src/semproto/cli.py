@@ -55,6 +55,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"--output {args.output!r} must name a file whose suffix is "
                           "not .md: the markdown report goes beside it with that suffix")
     md = out.with_suffix(".md")
+    # Accepted and checked, but mining always runs in one process.
+    if args.parallelism < 1:
+        raise ConfigError(f"parallelism must be >= 1, got {args.parallelism}")
     dataset_path = Path(args.dataset)
     dataset = load_dataset(dataset_path)
     ground_truth = None
@@ -67,7 +70,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         max_prototypes=args.max_prototypes,
         metric=args.distance,
         unmatched_cost=args.unmatched_cost,
-        parallelism=args.parallelism,
         ground_truth=ground_truth,
     )
     elapsed = time.monotonic() - started
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0,
                        help="echoed into the report; mining itself is deterministic")
     p_run.add_argument("--parallelism", type=int, default=1,
-                       help="worker processes for mining (default: 1)")
+                       help="accepted for compatibility (N >= 1); mining runs in one process")
     p_run.add_argument("--ground-truth", default=None,
                        help="rules file to compare the top rule per class against")
     p_run.add_argument("--output", required=True, help="report path (JSON)")

@@ -327,14 +327,18 @@ def load_ground_truth(path: str | Path, vocab: Vocabulary) -> dict[str, ASD]:
     """Read ground-truth rules, interning attribute names into ``vocab``."""
     path = Path(path)
     rules: dict[str, ASD] = {}
+    first_line: dict[str, int] = {}
     diagnostics: list[Diagnostic] = []
     for line_no, record in _json_objects(_read_lines(path, "ground truth"), diagnostics):
         label, rule = record.get("label"), record.get("rule")
         problem = ("'label' must be a string" if not isinstance(label, str)
                    else _entity_problem(rule, "rule"))
+        if problem is None and label in first_line:
+            problem = f"duplicate label {label!r} (first at line {first_line[label]})"
         if problem:
             diagnostics.append(Diagnostic(problem, line=line_no))
         else:
+            first_line[label] = line_no
             rules[label] = ASD.from_names(vocab, rule, intern=True)
     if not diagnostics and not rules:
         diagnostics.append(Diagnostic("ground-truth file holds no rules"))
@@ -358,8 +362,10 @@ def convert_attribute_matrix(path: str | Path, grouping: str = "whole",
     dropped.  Grouping "whole" makes one entity per sample; "part-prefix"
     groups attributes by the name part before "::" into one entity per part.
     Labels come from the optional fourth column, else from a "label/rest"
-    sample id prefix.  Samples whose attributes all fall below the threshold
-    are an error, not silently dropped.
+    sample id prefix.  The first non-blank line sets the delimiter (tab when
+    it holds one, else comma) and is skipped as a header when its value
+    column is not a number.  Samples whose attributes all fall below the
+    threshold are an error, not silently dropped.
     """
     if grouping not in GROUPINGS:
         raise ConfigError(f"unknown grouping {grouping!r}; expected one of {GROUPINGS}")
@@ -367,7 +373,8 @@ def convert_attribute_matrix(path: str | Path, grouping: str = "whole",
     diagnostics: list[Diagnostic] = []
     rows: list[tuple[str, str, float, str | None]] = []
     lines = _read_lines(path, "matrix")
-    delimiter = "\t" if "\t" in lines[0] else ","
+    first = next((n for n, line in enumerate(lines, start=1) if line.strip()), None)
+    delimiter = "\t" if first is not None and "\t" in lines[first - 1] else ","
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -380,7 +387,7 @@ def convert_attribute_matrix(path: str | Path, grouping: str = "whole",
         try:
             value = float(parts[2])
         except ValueError:
-            if line_no == 1:
+            if line_no == first:
                 continue  # header row
             diagnostics.append(Diagnostic(f"value {parts[2]!r} is not a number",
                                           line=line_no))

@@ -8,13 +8,13 @@ and a greedy maximum-coverage pass picks the final rule set.  A class's traces
 run in lockstep over a map from each description to the one it steps to
 next, so each distinct description is ranked and expanded once, and each
 round ranks all of its descriptions in a few batched numpy calls (see
-``_trace`` and ``SimilarityRanker``).
+``_trace`` and ``SimilarityRanker``).  Mining runs in one process: the
+lockstep sharing spans every seed of a class, and splitting the seeds among
+worker processes would only repeat it.
 """
 from __future__ import annotations
 
 import copy
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -23,7 +23,7 @@ import numpy as np
 # ``similarity`` is the scalar specification that SimilarityRanker's scores
 # equal bit for bit; it stays importable here as ``mining.similarity``.
 from .asd import ASD, entity_ids, merge, similarity, subsumes  # noqa: F401
-from .errors import ConfigError, InseparableDataError
+from .errors import InseparableDataError
 
 
 @dataclass(frozen=True)
@@ -442,45 +442,16 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
     return finals
 
 
-# Worker-side state for parallel mining: what mine_ccds built for the class,
-# inherited under fork and pickled once per worker otherwise.  "positives"
-# lists (id, ASD) pairs for perfbench/spans.py, which reads it.
-_POOL_STATE: dict | None = None
-
-
-def _pool_init(index: NegativeAttributeIndex, ranker: SimilarityRanker,
-               positions: np.ndarray) -> None:
-    global _POOL_STATE
-    _POOL_STATE = {
-        "positives": list(zip(ranker.ids, ranker.asds)),
-        "index": index,
-        "ranker": ranker,
-        "positions": positions,
-    }
-
-
-def _pool_trace(seeds: list[int]) -> list[tuple[int, ...]]:
-    """Trace one fixed chunk of seeds in lockstep.  Its state map starts
-    empty, so what the chunk does never depends on which worker ran the
-    chunks before it."""
-    assert _POOL_STATE is not None
-    return [asd.entities for asd in _trace(
-        seeds, _POOL_STATE["index"], _POOL_STATE["ranker"], _POOL_STATE["positions"])]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+# Read only by perfbench/spans.py, which wraps it; goes with ROADMAP item 5.
+_pool_init = None
 
 
 # ----------------------------------------------------------------------------
 # mining
 # ----------------------------------------------------------------------------
 
-def mine_ccds(positives: Sequence[Sample], index: NegativeAttributeIndex,
-              parallelism: int = 1) -> list[ClassClusterDescription]:
+def mine_ccds(positives: Sequence[Sample],
+              index: NegativeAttributeIndex) -> list[ClassClusterDescription]:
     """Mine candidate class descriptions from one class versus the rest.
 
     ``index`` is mining's only view of the negatives: its samples of the
@@ -492,13 +463,10 @@ def mine_ccds(positives: Sequence[Sample], index: NegativeAttributeIndex,
     describes a negative (no sound rule can cover that positive).
 
     Returns the deduplicated candidates in canonical order, each carrying
-    its exact positive coverage.  Serial and pooled traces share the
-    index's class view and one ranker over the positives.  ``parallelism``
-    caps the worker processes (``ConfigError`` below 1); the pool traces
-    fixed chunks of seeds, each chunk in its own lockstep ``_trace``.
+    its exact positive coverage.  All seeds are traced in one lockstep
+    ``_trace`` over the index's class view and one ranker of the positives,
+    in this process.
     """
-    if parallelism < 1:
-        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     if not positives:
         raise ValueError("cannot mine from an empty positive set")
     labels = {p.label for p in positives}
@@ -522,19 +490,7 @@ def mine_ccds(positives: Sequence[Sample], index: NegativeAttributeIndex,
         unique.setdefault(ranker.asds[seed], seed)
     seeds = list(unique.values())
     positions = np.array([where[sid] for sid in ranker.ids.tolist()], dtype=np.intp)
-
-    # A process pool starts all its workers at the first submit, so never
-    # ask for more than there are CPUs to run them or seeds to trace.
-    workers = min(parallelism, _usable_cpus(), len(seeds))
-    if workers > 1:
-        size = -(-len(seeds) // (workers * 4))
-        chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=(index, ranker, positions)) as pool:
-            raw = [ASD(entities)
-                   for chunk in pool.map(_pool_trace, chunks) for entities in chunk]
-    else:
-        raw = _trace(seeds, index, ranker, positions)
+    raw = _trace(seeds, index, ranker, positions)
 
     # Every accepted merge passed the index check inside its trace; the one
     # naive soundness scan runs in pipeline.run_pipeline.

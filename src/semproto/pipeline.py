@@ -36,13 +36,12 @@ def equivalent(a: ASD, b: ASD) -> bool:
 def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
                  max_prototypes: int | None = None, metric: str = "edit",
                  unmatched_cost: str = "attrs",
-                 parallelism: int = 1,
                  ground_truth: dict[str, ASD] | None = None) -> PipelineResult:
     """Mine rules and prototypes for every class (or one chosen class).
 
     ``max_prototypes`` caps the rules (and hence prototypes) per class; absent,
     rules are picked until every positive is covered or no candidate helps.
-    ``parallelism`` caps the mining worker processes per class.  With
+    Classes are mined one after another in this process.  With
     ``ground_truth``, each class's top rule is compared for mutual
     subsumption against the known rule.
     """
@@ -63,7 +62,7 @@ def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
     index = NegativeAttributeIndex(dataset.samples)
     for label in labels:
         positives, negatives = dataset.split(label)
-        candidates = mine_ccds(positives, index, parallelism)
+        candidates = mine_ccds(positives, index)
         # Independent soundness re-check, naive scan only.
         for candidate in candidates:
             if not check_ccd(candidate.asd, negatives):  # pragma: no cover

@@ -15,16 +15,17 @@ Tie-break: the reported mapping (the sample entity per rule entity, in rule
 order) is the lexicographically smallest mapping of minimal total, among
 injective mappings when one exists and among many-to-one mappings otherwise.
 
-In "attrs" mode every injective assignment costs the same, the sample's
-attribute count minus the rule's, because each rule entity is a subset of
-its witness.  So there a feasibility test by augmenting paths (Kuhn 1955)
-settles the distance, and the mapping is found greedily: each rule entity in
-turn takes the smallest sample entity that leaves the rest matchable.  The
-other cases need one exact minimum-cost assignment (``linear_sum_assignment``,
-the Hungarian method with potentials), whose integer cell weights
-``cost * nz**nr + column * nz**(nr - 1 - row)`` fold the tie-break into the
-optimum.  The prototype of a rule is the covered sample at minimal distance,
-ties broken toward the smallest sample id.
+Both cases solve one exact minimum-cost assignment (``linear_sum_assignment``,
+the Hungarian method with potentials) over cells ``(w - z_cost[j], j)``: the
+insertions ``w`` of a match less the unmatched charge it earns back.  The
+integer cell weights ``cost * nz**nr + column * nz**(nr - 1 - row)`` fold the
+tie-break into the optimum.  In "attrs" mode every cell of rule entity ``i``
+costs ``-|r_i|``, because each rule entity is a subset of its witness, so
+there the tie-break alone picks the mapping, and every injective mapping
+totals the sample's attribute count minus the rule's.  Whether an injective
+mapping exists is tested first by augmenting paths (Kuhn 1955).  The
+prototype of a rule is the covered sample at minimal distance, ties broken
+toward the smallest sample id.
 """
 from __future__ import annotations
 
@@ -90,15 +91,14 @@ def edit_distance(rule: ASD, sample: ASD,
     """
     weight, z_cost = _weights(rule, sample, unmatched_cost)
     nz = len(z_cost)
+    # a match's insertions less the unmatched charge it earns back
+    cells = [[None if w is None else (w - z_cost[j], j) for j, w in enumerate(row)]
+             for row in weight]
     feasible = _injective(weight, nz)
-    if feasible and unmatched_cost == "attrs":
-        assignment = _first_matching(weight, nz)
-    elif feasible:
-        assignment = _lexmin_assignment(
-            [[None if w is None else (w, j) for j, w in enumerate(row)] for row in weight],
-            nz)
+    if feasible:
+        assignment = _lexmin_assignment(cells, nz)
     else:
-        assignment = _many_to_one(weight, z_cost)
+        assignment = _many_to_one(weight, cells, nz)
     pairs = tuple((i, j, weight[i][j]) for i, j in enumerate(assignment))
     used = set(assignment)
     unmatched = tuple((j, cost) for j, cost in enumerate(z_cost) if j not in used)
@@ -142,43 +142,23 @@ def _augment(row: int, weight: Weights, owner: list, seen: list[bool]) -> bool:
     return False
 
 
-def _matchable(weight: Weights, rows: range, taken: list[bool]) -> bool:
-    """Whether every row in ``rows`` can have its own witness outside ``taken``."""
-    owner: list = [None] * len(taken)
-    return all(_augment(i, weight, owner, list(taken)) for i in rows)
-
-
 def _injective(weight: Weights, nz: int) -> bool:
-    return len(weight) <= nz and _matchable(weight, range(len(weight)), [False] * nz)
+    """Whether every rule entity can have a witness of its own."""
+    owner: list = [None] * nz
+    return len(weight) <= nz and all(_augment(i, weight, owner, [False] * nz)
+                                     for i in range(len(weight)))
 
 
-def _first_matching(weight: Weights, nz: int) -> list[int]:
-    """The lexicographically smallest injective mapping; one must exist."""
-    taken = [False] * nz
-    assignment = []
-    for i, row in enumerate(weight):
-        for j, w in enumerate(row):
-            if w is None or taken[j]:
-                continue
-            taken[j] = True
-            if _matchable(weight, range(i + 1, len(weight)), taken):
-                assignment.append(j)
-                break
-            taken[j] = False
-    return assignment
-
-
-def _many_to_one(weight: Weights, z_cost: list[int]) -> list[int]:
+def _many_to_one(weight: Weights, cells: list[list], nz: int) -> list[int]:
     """Exact many-to-one optimum: a rule entity either claims a distinct
-    sample entity (earning back its unmatched cost) or rides its cheapest
-    superset (smallest index among equals) in a column of its own."""
-    nr, nz = len(weight), len(z_cost)
+    sample entity (its cell in ``cells``) or rides its cheapest superset
+    (smallest index among equals) in a column of its own."""
+    nr = len(weight)
     ride = [min((w, j) for j, w in enumerate(row) if w is not None) for row in weight]
-    cells = [[None if w is None else (w - z_cost[j], j) for j, w in enumerate(row)]
-             + [ride[i] if extra == i else None for extra in range(nr)]
-             for i, row in enumerate(weight)]
+    augmented = [row + [ride[i] if extra == i else None for extra in range(nr)]
+                 for i, row in enumerate(cells)]
     return [c if c < nz else ride[i][1]
-            for i, c in enumerate(_lexmin_assignment(cells, nz))]
+            for i, c in enumerate(_lexmin_assignment(augmented, nz))]
 
 
 def _lexmin_assignment(cells: list[list], nz: int) -> list[int]:

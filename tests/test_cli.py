@@ -384,6 +384,17 @@ def test_run_zero_parallelism(tiny_dataset, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_parallelism_changes_no_report(tiny_dataset, tmp_path):
+    """--parallelism is checked and then dropped: any accepted value writes
+    the same JSON and markdown reports."""
+    outputs = []
+    for workers in ("1", "3"):
+        (tmp_path / workers).mkdir()
+        _, out = run_report(tmp_path / workers, tiny_dataset, "--parallelism", workers)
+        outputs.append((out.read_bytes(), out.with_suffix(".md").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("output", ["r.md", ""], ids=["md-suffix", "empty"])
 def test_run_rejects_an_output_path_without_a_json_name(output, tmp_path, monkeypatch,
                                                         capsys):
@@ -423,18 +434,23 @@ def test_run_unwritable_output_is_internal(tiny_dataset, tmp_path):
      "cannot read ground truth"),
     (["run", "--dataset", "{tiny}", "--ground-truth", "{numeric_rule}"],
      "entity attributes must be non-empty strings"),
+    (["run", "--dataset", "{tiny}", "--ground-truth", "{repeated_label}"],
+     "line 2: duplicate label 'classA' (first at line 1)"),
     (["convert", "--matrix", "{not_utf8}"], "cannot read matrix"),
 ], ids=["run-missing", "run-directory", "run-not-utf8", "validate-missing",
         "validate-directory", "validate-not-utf8", "ground-truth-missing",
         "ground-truth-not-utf8", "ground-truth-numeric-attribute",
-        "convert-not-utf8"])
+        "ground-truth-repeated-label", "convert-not-utf8"])
 def test_bad_input_files_exit_2(tiny_dataset, tmp_path, capsys, args, expected):
     paths = {"missing": tmp_path / "missing.jsonl", "directory": tmp_path / "dir",
              "not_utf8": tmp_path / "latin1.jsonl", "tiny": tiny_dataset,
-             "numeric_rule": tmp_path / "rules.jsonl"}
+             "numeric_rule": tmp_path / "rules.jsonl",
+             "repeated_label": tmp_path / "repeated.jsonl"}
     paths["directory"].mkdir()
     paths["not_utf8"].write_bytes('{"id": "s\u00e9"}\n'.encode("latin-1"))
     paths["numeric_rule"].write_text('{"label": "classA", "rule": [[1, 2]]}\n')
+    paths["repeated_label"].write_text('{"label": "classA", "rule": [["X"]]}\n'
+                                       '{"label": "classA", "rule": [["Y"]]}\n')
     argv = [arg.format(**paths) for arg in args]
     if argv[0] != "validate":
         argv += ["--output", str(tmp_path / "out.json")]
@@ -527,10 +543,14 @@ def test_version_flag(capsys):
     assert "semproto" in capsys.readouterr().out
 
 
+UNLOADED = ("scipy", "concurrent.futures", "multiprocessing")
+
+
 @pytest.mark.parametrize("module", ["semproto.cli", "semproto.mining"])
 def test_import_leaves_scipy_unloaded(module):
-    """Start-up, and each ``spawn`` pool worker (which imports
-    ``semproto.mining`` to unpickle its initializer), import no scipy."""
+    """Start-up, and an import of the miner alone, load neither scipy nor the
+    process-pool machinery (``concurrent.futures``, ``multiprocessing``):
+    mining runs in one process."""
     import os
     import subprocess
     import sys
@@ -540,7 +560,8 @@ def test_import_leaves_scipy_unloaded(module):
     src = str(Path(semproto.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+            f"if any(m == u or m.startswith(u + '.') for u in {UNLOADED!r})))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr

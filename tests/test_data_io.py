@@ -346,6 +346,24 @@ def test_convert_tab_delimiter(tmp_path):
     assert dataset.by_id["s1"].asd.to_name_lists(dataset.vocabulary) == [["a", "b"]]
 
 
+def test_convert_reads_delimiter_and_header_from_first_non_blank_line(tmp_path):
+    path = write_matrix(tmp_path, "\n \nsample\tattribute\tvalue\tlabel\n"
+                                  "s1\ta\t1.0\tpos\ns2\tb\t1.0\tneg\n")
+    dataset = convert_attribute_matrix(path)
+    assert [s.id for s in dataset.samples] == ["s1", "s2"]
+    assert dataset.by_id["s2"].asd.to_name_lists(dataset.vocabulary) == [["b"]]
+
+
+def test_convert_skips_no_header_after_the_first_non_blank_line(tmp_path):
+    """After leading blank lines, a data row stands where a header may; a
+    later row whose value is not a number is an error, not a header."""
+    path = write_matrix(tmp_path, "\ns1,a,1.0,pos\ns2,b,high,neg\n")
+    with pytest.raises(DatasetValidationError) as err:
+        convert_attribute_matrix(path)
+    assert [(d.line, d.message) for d in err.value.diagnostics] == [
+        (3, "value 'high' is not a number")]
+
+
 def test_convert_header_only_errors(tmp_path):
     path = write_matrix(tmp_path, "sample,attribute,value,label\n")
     with pytest.raises(DatasetValidationError) as err:

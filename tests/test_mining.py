@@ -38,10 +38,9 @@ def mk_samples(vocab, label, named_asds):
             for sid, lists in named_asds]
 
 
-def mine(positives, negatives, parallelism=1):
+def mine(positives, negatives):
     """mine_ccds with an index over exactly the positives and the negatives."""
-    return mine_ccds(positives, NegativeAttributeIndex([*positives, *negatives]),
-                     parallelism)
+    return mine_ccds(positives, NegativeAttributeIndex([*positives, *negatives]))
 
 
 def worked_instance(vocab):
@@ -153,12 +152,6 @@ def test_input_validation():
         mine_ccds(repeated, index)
 
 
-def test_config_validation():
-    positives, negatives = worked_instance(Vocabulary())
-    with pytest.raises(ConfigError, match="parallelism must be >= 1"):
-        mine(positives, negatives, parallelism=0)
-
-
 @pytest.mark.parametrize("options", [
     {"max_prototypes": 0, "metric": "bogus", "unmatched_cost": "nope"},
     {"metric": "bogus"},
@@ -223,7 +216,7 @@ def test_seed_dedupe_does_not_change_results():
 
 
 def parallel_cases():
-    """Mining inputs for the pool: random instances, the same with twin
+    """Mining inputs: random instances, the same with twin
     descriptions listed last under lower ids (so the seed kept for a twin
     pair sits late in ranker order), and one with two distinct seeds."""
     for seed in (0, 1):
@@ -237,9 +230,9 @@ def parallel_cases():
            mk_samples(v, "neg", [("n1", [["D"]])]))
 
 
-def test_parallel_mining_matches_serial(monkeypatch):
-    # pool sizes up to 4 whatever the host has, so the pool really runs
-    monkeypatch.setattr("semproto.mining._usable_cpus", lambda: 4)
+def test_parallel_mining_matches_serial():
+    """Mining matches the scalar traces, also against a dataset-wide index
+    whose sample order is unrelated to the ids."""
     for case, (positives, negatives) in enumerate(parallel_cases()):
         expected = scalar_mine(positives, negatives)
         serial = mine(positives, negatives)
@@ -249,98 +242,6 @@ def test_parallel_mining_matches_serial(monkeypatch):
         random.Random(case).shuffle(samples)
         index = NegativeAttributeIndex(samples)
         assert mine_ccds(positives, index) == serial
-        for workers in (2, 4):
-            assert mine_ccds(positives, index, workers) == serial
-
-
-def in_process_pool(log):
-    """A stand-in for ProcessPoolExecutor that runs the initializer and maps
-    in this process, so no process starts.  Each map appends the pool's size
-    and its number of tasks to ``log``."""
-    class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
-            self.max_workers = max_workers
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            items = list(items)
-            log.append((self.max_workers, len(items)))
-            return map(fn, items)
-    return InProcessPool
-
-
-def test_pool_size_is_capped_by_cpus_and_seeds(monkeypatch):
-    """--parallelism N asks for at most min(N, usable CPUs, seeds) workers and
-    runs serially when that is 1."""
-    import os
-
-    log = []
-    monkeypatch.setattr(mining, "ProcessPoolExecutor", in_process_pool(log))
-    monkeypatch.setattr(mining, "_POOL_STATE", None)
-    positives, negatives = random_instance(0, n_pos=10, n_neg=5)
-    seeds = len({p.asd for p in positives})
-    assert seeds > 3
-    serial = mine(positives, negatives)
-    huge = 10**6
-
-    def mined_with(affinity, cpu_count):
-        if affinity is None:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        else:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
-                                raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        log.clear()
-        assert mine(positives, negatives, huge) == serial
-        return [workers for workers, _ in log]
-
-    assert mined_with(affinity=3, cpu_count=64) == [3]
-    assert mined_with(affinity=None, cpu_count=10**6) == [seeds]
-    assert mined_with(affinity=None, cpu_count=2) == [2]
-    assert mined_with(affinity=1, cpu_count=64) == []
-    assert mined_with(affinity=None, cpu_count=None) == []
-
-
-SPAWN_SCRIPT = """
-import multiprocessing
-from semproto import GeneratorConfig, generate_clevr_hans3, mining, run_pipeline
-
-if __name__ == "__main__":
-    multiprocessing.set_start_method("spawn")
-    mining._usable_cpus = lambda: 2  # run the pool even on a one-CPU host
-    dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=8,
-                                                      objects_max=4, seed=3))
-    runs = [run_pipeline(dataset, max_prototypes=0, parallelism=p)
-            for p in (1, 2)]
-    serial, parallel = ([c.candidates for c in run.classes] for run in runs)
-    assert all(serial) and serial == parallel, "parallel candidates differ"
-    print("spawn ok")
-"""
-
-
-def test_parallel_mining_under_spawn(tmp_path):
-    """Under spawn the pool's index and ranker reach the workers pickled."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import semproto
-    script = tmp_path / "spawn_mining.py"
-    script.write_text(SPAWN_SCRIPT)
-    src = str(Path(semproto.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "spawn ok"
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +446,7 @@ def mining_inputs(draw):
 @settings(max_examples=200, deadline=None)
 def test_memoized_mining_matches_scalar_mine(case):
     """The trace memo and the bulk skip of described positives change no
-    candidate, serially or in a pool of more than one chunk."""
+    candidate."""
     positives, negatives, samples = case
     expected = scalar_mine(positives, negatives)
     serial = mine(positives, negatives)
@@ -554,17 +455,6 @@ def test_memoized_mining_matches_scalar_mine(case):
         assert ccd.coverage == {p.id for p in positives if subsumes(ccd.asd, p.asd)}
     index = NegativeAttributeIndex(samples)
     assert mine_ccds(positives, index) == serial
-    log = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mining, "ProcessPoolExecutor", in_process_pool(log))
-        patch.setattr(mining, "_usable_cpus", lambda: 2)
-        patch.setattr(mining, "_POOL_STATE", None)
-        assert mine_ccds(positives, index, 2) == serial
-    if len({p.asd for p in positives}) > 1:
-        [(workers, chunks)] = log
-        assert workers == 2 and chunks > 1
-    else:
-        assert log == []
 
 
 def test_trace_memo_saves_merges(monkeypatch):
@@ -656,10 +546,7 @@ def test_trace_memo_is_keyed_by_the_description(monkeypatch):
 
 def test_batch_cap_does_not_change_candidates(monkeypatch):
     """A frontier split into batches of one reference, or of a few, mines
-    the same candidates, serially and in an in-process pool."""
-    monkeypatch.setattr(mining, "ProcessPoolExecutor", in_process_pool([]))
-    monkeypatch.setattr(mining, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(mining, "_POOL_STATE", None)
+    the same candidates."""
     sizes = []
     batches = SimilarityRanker.batches
 
@@ -673,9 +560,8 @@ def test_batch_cap_does_not_change_candidates(monkeypatch):
         sizes.clear()
         for seed in range(6):
             positives, negatives = random_instance(seed, n_pos=12)
-            expected = scalar_mine(positives, negatives)
-            for parallelism in (1, 2):
-                assert [c.asd for c in mine(positives, negatives, parallelism)] == expected
+            assert [c.asd for c in mine(positives, negatives)] == scalar_mine(positives,
+                                                                              negatives)
         assert max(sizes) == 1 if cap == 1 else max(sizes) > 1
 
 
@@ -822,7 +708,7 @@ def test_run_pipeline_builds_one_index(monkeypatch):
     monkeypatch.setattr(NegativeAttributeIndex, "__init__", counting_init)
     dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=10,
                                                       objects_max=5, seed=3))
-    result = run_pipeline(dataset, parallelism=1)
+    result = run_pipeline(dataset)
     assert len(result.classes) == 3
     assert len(builds) == 1
 
