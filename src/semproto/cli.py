@@ -55,6 +55,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"--output {args.output!r} must name a file whose suffix is "
                           "not .md: the markdown report goes beside it with that suffix")
     md = out.with_suffix(".md")
+    for what, given in (("dataset", args.dataset), ("ground truth", args.ground_truth)):
+        if given and Path(given).resolve() in (out.resolve(), md.resolve()):
+            raise ConfigError(f"--output {args.output!r} would overwrite the {what} "
+                              f"{given!r} with a report")
     # Accepted and checked, but mining always runs in one process.
     if args.parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {args.parallelism}")

@@ -201,6 +201,10 @@ _BATCH_CAP = 1 << 16
 class SimilarityRanker:
     """Orders one class's positives by similarity to reference descriptions.
 
+    A positive is known only by its position in the sequence the ranker is
+    built from; ``mine_ccds`` builds it from the positives in id order, so
+    a tie broken toward the lower position goes to the smaller id.
+
     The distinct entities of the positives are interned once as rows of
     little-endian ``uint64`` words (one word per 64 attributes), stored one
     contiguous column per word, with each entity's size; each positive is
@@ -240,10 +244,8 @@ class SimilarityRanker:
     positives, so they are never wider than the interned entities.
     """
 
-    def __init__(self, positives: Sequence[tuple[str, ASD]]):
-        # object dtype: ids compare as Python strings
-        self.ids = np.array([sid for sid, _ in positives], dtype=object)
-        self.asds = [asd for _, asd in positives]
+    def __init__(self, positives: Sequence[ASD]):
+        self.asds = list(positives)
         interned: dict[int, int] = {}
         rows = []
         for asd in self.asds:
@@ -263,8 +265,6 @@ class SimilarityRanker:
         for p, entities in enumerate(rows):
             self._slots[:len(entities), p] = entities
         self._counts = np.array([len(r) for r in rows], dtype=np.float64)
-        # Stable sorting of this id order by score breaks ties by ascending id.
-        self._by_id = np.argsort(self.ids, kind="stable")
 
     def _pack(self, entities: Sequence[int]) -> np.ndarray:
         """Entities as rows of little-endian ``uint64`` words."""
@@ -360,11 +360,10 @@ class SimilarityRanker:
 
     def rankings(self, references: Sequence[ASD]) -> np.ndarray:
         """Row b: positions of all positives, most similar to ``references[b]``
-        first, ties by ascending id."""
-        by_id = self._by_id
-        scores = self.scores(references)[:, by_id]
+        first, ties by ascending position."""
+        scores = self.scores(references)
         np.negative(scores, out=scores)
-        return by_id[np.argsort(scores, axis=1, kind="stable")]
+        return np.argsort(scores, axis=1, kind="stable")
 
 
 # ----------------------------------------------------------------------------
@@ -372,15 +371,15 @@ class SimilarityRanker:
 # ----------------------------------------------------------------------------
 
 def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
-           ranker: SimilarityRanker, positions: np.ndarray) -> list[ASD]:
+           ranker: SimilarityRanker, positions: np.ndarray) -> set[ASD]:
     """Run the given seeds' greedy generalizations in lockstep and return
-    their final descriptions, in seed order.
+    the set of their final descriptions.
 
-    ``seeds`` are ranker positions of distinct descriptions, and
-    ``positions[r]`` is the index sample position of ranker position ``r``.
-    A seed's trace visits the positives it has not yet visited, most similar
-    to its description first, and moves to the first merge that describes
-    no negative; it ends when none does.
+    ``seeds`` are ranker positions, and ``positions[r]`` is the index sample
+    position of ranker position ``r``.  A seed's trace visits the positives
+    it has not yet visited, most similar to its description first, and
+    moves to the first merge that describes no negative; it ends when none
+    does.
 
     Let the description D be an antichain: an antichain seed, or any
     accepted merge (``merge`` returns an antichain).  Two kinds of positive
@@ -395,6 +394,13 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
     keeps its described positives (the first it visits trims it, because
     ``merge(D, p) == D.trimmed`` whenever D subsumes p) and excludes only
     itself.
+
+    Twins, seeds of one description D, share one frontier entry, which
+    excludes only the last of them, and any twin's trace stands for all.  If
+    D is an antichain, it describes every twin, so all are cleared before
+    ranking.  If not, only a twin scores 1.0 against D, so the trace first
+    visits another twin and steps to ``D.trimmed``, which is sound because
+    it describes what D describes, and which describes every twin again.
 
     The traces advance breadth first.  ``frontier`` maps each description
     still to expand to the positives left to visit there, flagged by ranker
@@ -433,13 +439,9 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
                             reached[generalized] = remaining
                         break
         frontier = reached
-    finals = []
-    for seed in seeds:
-        description = ranker.asds[seed]
-        while step[description] != description:
-            description = step[description]
-        finals.append(description)
-    return finals
+    # Each expanded description lies on some seed's path, so the fixed
+    # points are exactly the seeds' final descriptions.
+    return {d for d, nxt in step.items() if nxt is d}
 
 
 # Read only by perfbench/spans.py, which wraps it; goes with ROADMAP item 5.
@@ -463,9 +465,10 @@ def mine_ccds(positives: Sequence[Sample],
     describes a negative (no sound rule can cover that positive).
 
     Returns the deduplicated candidates in canonical order, each carrying
-    its exact positive coverage.  All seeds are traced in one lockstep
-    ``_trace`` over the index's class view and one ranker of the positives,
-    in this process.
+    its exact positive coverage.  The positives are put in id order once,
+    so a similarity tie goes to the smaller id; every one of them seeds a
+    trace, and all are traced in one lockstep ``_trace`` over the index's
+    class view and one ranker of the positives, in this process.
     """
     if not positives:
         raise ValueError("cannot mine from an empty positive set")
@@ -482,22 +485,17 @@ def mine_ccds(positives: Sequence[Sample],
         if hit is not None:
             raise InseparableDataError(p.id, hit, label)
 
-    ranker = SimilarityRanker([(p.id, p.asd) for p in positives])
-    # Identical descriptions provably produce identical traces; keep the
-    # lowest-id representative of each, as a ranker position.
-    unique: dict[ASD, int] = {}
-    for seed in ranker._by_id.tolist():
-        unique.setdefault(ranker.asds[seed], seed)
-    seeds = list(unique.values())
-    positions = np.array([where[sid] for sid in ranker.ids.tolist()], dtype=np.intp)
-    raw = _trace(seeds, index, ranker, positions)
+    positives = sorted(positives, key=lambda p: p.id)
+    ranker = SimilarityRanker([p.asd for p in positives])
+    positions = np.array([where[p.id] for p in positives], dtype=np.intp)
+    finals = _trace(range(len(positives)), index, ranker, positions)
 
     # Every accepted merge passed the index check inside its trace; the one
     # naive soundness scan runs in pipeline.run_pipeline.
     own = index.labelled(label)
     return [ClassClusterDescription(asd, label,
                                     frozenset(index.ids(index.described(asd, own))))
-            for asd in sorted(set(raw), key=lambda a: a.sort_key)]
+            for asd in sorted(finals, key=lambda a: a.sort_key)]
 
 
 # ----------------------------------------------------------------------------

@@ -8,9 +8,10 @@ enumeration, so these functions can act as oracles for the optimized
 implementations in property and acceptance tests.  Budgets keep the
 enumeration small enough to finish in seconds.  ``scalar_mine`` is the
 reference for mining: the miner's greedy traces run with the scalar ``asd``
-operations only, and with none of the miner's index, ranker, seed dedupe or
-trace memo.  ``oracle_trim`` is the reference for ``asd.trim``: the same
-antichain, found by visiting entities in full canonical order.
+operations only, one per seed, twins included, and with none of the miner's
+index, ranker or trace memo.  ``oracle_trim`` is the reference for
+``asd.trim``: the same antichain, found by visiting entities in full
+canonical order.
 """
 from __future__ import annotations
 

@@ -43,12 +43,17 @@ def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
     rules are picked until every positive is covered or no candidate helps.
     Classes are mined one after another in this process.  With
     ``ground_truth``, each class's top rule is compared for mutual
-    subsumption against the known rule.
+    subsumption against the known rule; a label that names no class of the
+    dataset is a ``ConfigError``.
     """
     if max_prototypes is not None and max_prototypes < 0:
         raise ConfigError(f"max_prototypes must be >= 0, got {max_prototypes}")
     distance_metric_select(metric, unmatched_cost)  # ConfigError for unknown names
     labels = dataset.labels()
+    unknown = sorted(set(ground_truth or ()) - set(labels))
+    if unknown:
+        raise ConfigError(f"ground-truth label(s) {unknown} name no class of the dataset "
+                          f"(available: {labels})")
     if class_filter is not None:
         if class_filter not in dataset.label_index:
             raise DatasetValidationError(

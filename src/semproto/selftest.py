@@ -131,8 +131,9 @@ def battery_greedy_coverage(cases: int, seed: int,
 
 
 def battery_mining_traces(cases: int, seed: int) -> Battery:
-    """mine_ccds, with its index, ranker, seed dedupe and trace memo, finds
-    the candidates of the plain scalar traces; some positives have twins."""
+    """mine_ccds, with its index, ranker, twins sharing one frontier entry
+    and trace memo, finds the candidates of the plain scalar traces; some
+    positives have twins."""
     rng = random.Random(seed)
     failures = 0
     for _ in range(cases):
@@ -162,11 +163,10 @@ def battery_ranker_batches(cases: int, seed: int) -> Battery:
         width = rng.choice((15, 64, 65, 128, 129, 300))
         asds = list(random_asds(rng.randrange(1 << 32), rng.randint(1, 10), max_entities=4,
                                 max_entity_size=rng.choice((4, 40)), vocab_size=width))
-        positives = [(f"p{i:02d}", a) for i, a in enumerate(asds)]
         pool = asds + [merge(rng.choice(asds), rng.choice(asds)) for _ in range(4)]
         pool += [ASD((0,)), ASD((rng.choice(asds).entities[0],))]
         references = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
-        ranker = SimilarityRanker(positives)
+        ranker = SimilarityRanker(asds)
         rows = ranker.scores(references)
         if any(row.tolist() != [similarity(reference, a) for a in asds]
                or ranker.scores([reference]).tobytes() != row.tobytes()

@@ -395,20 +395,32 @@ def test_run_parallelism_changes_no_report(tiny_dataset, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("output", ["r.md", ""], ids=["md-suffix", "empty"])
-def test_run_rejects_an_output_path_without_a_json_name(output, tmp_path, monkeypatch,
-                                                        capsys):
+@pytest.mark.parametrize("args, expected", [
+    (["--dataset", "missing.jsonl", "--output", "r.md"], ".md"),
+    (["--dataset", "missing.jsonl", "--output", ""], ".md"),
+    (["--dataset", "tiny.jsonl", "--output", "./tiny.jsonl"], "the dataset 'tiny.jsonl'"),
+    (["--dataset", "tiny.jsonl", "--ground-truth", "rules.jsonl", "--output",
+      "rules.jsonl"], "the ground truth 'rules.jsonl'"),
+    (["--dataset", "tiny.md", "--output", "tiny.json"], "the dataset 'tiny.md'"),
+], ids=["md-suffix", "empty", "dataset", "ground-truth", "dataset-beside-markdown"])
+def test_run_rejects_an_output_path_without_a_json_name(args, expected, tmp_path,
+                                                        monkeypatch, capsys):
     """The markdown report goes to --output with the suffix .md, so an
     --output ending in .md would be overwritten by it, and an empty one has
-    no name to take a suffix.  The path is checked before the dataset is
-    read (here it does not exist) and nothing is written."""
+    no name to take a suffix.  Neither report may overwrite the dataset or
+    the ground truth.  The path is checked before the dataset is read
+    (in the first two cases it does not exist) and nothing is written."""
     monkeypatch.chdir(tmp_path)
-    rc = main(["run", "--dataset", "missing.jsonl", "--output", output])
+    (tmp_path / "tiny.jsonl").write_text(TINY_DATASET)
+    (tmp_path / "tiny.md").write_text(TINY_DATASET)
+    (tmp_path / "rules.jsonl").write_text('{"label": "classA", "rule": [["A"]]}\n')
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    rc = main(["run", *args])
     assert rc == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: --output ")
-    assert ".md" in err
-    assert list(tmp_path.iterdir()) == []
+    assert expected in err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_run_unwritable_output_is_internal(tiny_dataset, tmp_path):
@@ -436,21 +448,27 @@ def test_run_unwritable_output_is_internal(tiny_dataset, tmp_path):
      "entity attributes must be non-empty strings"),
     (["run", "--dataset", "{tiny}", "--ground-truth", "{repeated_label}"],
      "line 2: duplicate label 'classA' (first at line 1)"),
+    (["run", "--dataset", "{tiny}", "--ground-truth", "{unknown_label}"],
+     "ground-truth label(s) ['clas1'] name no class of the dataset "
+     "(available: ['classA', 'classB'])"),
     (["convert", "--matrix", "{not_utf8}"], "cannot read matrix"),
 ], ids=["run-missing", "run-directory", "run-not-utf8", "validate-missing",
         "validate-directory", "validate-not-utf8", "ground-truth-missing",
         "ground-truth-not-utf8", "ground-truth-numeric-attribute",
-        "ground-truth-repeated-label", "convert-not-utf8"])
+        "ground-truth-repeated-label", "ground-truth-unknown-label", "convert-not-utf8"])
 def test_bad_input_files_exit_2(tiny_dataset, tmp_path, capsys, args, expected):
     paths = {"missing": tmp_path / "missing.jsonl", "directory": tmp_path / "dir",
              "not_utf8": tmp_path / "latin1.jsonl", "tiny": tiny_dataset,
              "numeric_rule": tmp_path / "rules.jsonl",
-             "repeated_label": tmp_path / "repeated.jsonl"}
+             "repeated_label": tmp_path / "repeated.jsonl",
+             "unknown_label": tmp_path / "typo.jsonl"}
     paths["directory"].mkdir()
     paths["not_utf8"].write_bytes('{"id": "s\u00e9"}\n'.encode("latin-1"))
     paths["numeric_rule"].write_text('{"label": "classA", "rule": [[1, 2]]}\n')
     paths["repeated_label"].write_text('{"label": "classA", "rule": [["X"]]}\n'
                                        '{"label": "classA", "rule": [["Y"]]}\n')
+    paths["unknown_label"].write_text('{"label": "classA", "rule": [["A"]]}\n'
+                                      '{"label": "clas1", "rule": [["E"]]}\n')
     argv = [arg.format(**paths) for arg in args]
     if argv[0] != "validate":
         argv += ["--output", str(tmp_path / "out.json")]
@@ -458,6 +476,16 @@ def test_bad_input_files_exit_2(tiny_dataset, tmp_path, capsys, args, expected):
     captured = capsys.readouterr()
     assert expected in captured.out + captured.err
     assert "Traceback" not in captured.err
+
+
+def test_ground_truth_for_a_class_left_out_by_class_is_allowed(tiny_dataset, tmp_path,
+                                                               capsys):
+    rules = tmp_path / "rules.jsonl"
+    rules.write_text('{"label": "classA", "rule": [["A"]]}\n')
+    report, _ = run_report(tmp_path, tiny_dataset, "--class", "classB",
+                           "--ground-truth", str(rules))
+    assert [c["label"] for c in report["classes"]] == ["classB"]
+    assert "ground truth" not in capsys.readouterr().out
 
 
 def test_validate_reports_each_problem(tmp_path, capsys):

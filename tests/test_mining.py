@@ -197,8 +197,8 @@ def test_mined_rules_are_sound_and_complete():
 
 
 def test_seed_dedupe_does_not_change_results():
-    """mine_ccds traces one seed per distinct description; scalar_mine traces
-    every seed, twins included."""
+    """mine_ccds folds twins into one frontier entry per description;
+    scalar_mine traces every seed, twins included."""
     v = Vocabulary()
     positives = mk_samples(v, "pos", [
         ("p1", [["A", "B"]]),
@@ -217,8 +217,8 @@ def test_seed_dedupe_does_not_change_results():
 
 def parallel_cases():
     """Mining inputs: random instances, the same with twin
-    descriptions listed last under lower ids (so the seed kept for a twin
-    pair sits late in ranker order), and one with two distinct seeds."""
+    descriptions listed last under lower ids (so input order and id order
+    differ), and one with two distinct seeds."""
     for seed in (0, 1):
         positives, negatives = random_instance(seed, n_pos=10, n_neg=5)
         yield positives, negatives
@@ -250,8 +250,8 @@ def test_parallel_mining_matches_serial():
 
 @st.composite
 def ranker_inputs(draw):
-    """Positives and references over a vocabulary of 15, 64, 65, 128, 129 or
-    300 ids.
+    """Positive descriptions and references over a vocabulary of 15, 64, 65,
+    128, 129 or 300 ids.
 
     Sparse entities take up to 4 attributes from a small pool that always
     holds the widest id, so entities overlap often and the top word of the
@@ -269,16 +269,20 @@ def ranker_inputs(draw):
     else:
         entity = st.frozensets(st.integers(0, width - 1), max_size=40)
     descriptions = st.lists(entity, min_size=1, max_size=4).map(ASD.from_id_sets)
-    asds = draw(st.lists(descriptions, min_size=1, max_size=9))
-    ids = draw(st.permutations([f"s{i:02d}" for i in range(len(asds))]))
-    positives = list(zip(ids, asds))
-    references = list(asds)
+    positives = draw(st.lists(descriptions, min_size=1, max_size=9))
+    references = list(positives)
     for _ in range(draw(st.integers(0, 4))):
-        a, b = draw(st.sampled_from(asds)), draw(st.sampled_from(asds))
+        a, b = draw(st.sampled_from(positives)), draw(st.sampled_from(positives))
         references.append(merge(a, b))
-    references += [ASD((0,)), ASD((0, asds[0].entities[-1])),
-                   ASD((asds[-1].entities[0],))]
+    references += [ASD((0,)), ASD((0, positives[0].entities[-1])),
+                   ASD((positives[-1].entities[0],))]
     return positives, references
+
+
+def scalar_ranking(reference, positives, positions):
+    """The given positions, most similar to the reference first, ties by
+    ascending position."""
+    return sorted(positions, key=lambda p: (-similarity(reference, positives[p]), p))
 
 
 @given(ranker_inputs())
@@ -288,12 +292,10 @@ def test_ranker_scores_equal_scalar_similarity(case):
     ranker = SimilarityRanker(positives)
     for reference in references:
         [scores] = ranker.scores([reference])
-        expected = [similarity(reference, asd) for _, asd in positives]
+        expected = [similarity(reference, asd) for asd in positives]
         assert scores.tolist() == expected
         [order] = ranker.rankings([reference])
-        ranked = [positives[i] for i in order]
-        assert ranked == sorted(positives, key=lambda it: (-similarity(reference, it[1]),
-                                                           it[0]))
+        assert order.tolist() == scalar_ranking(reference, positives, range(len(positives)))
 
 
 @given(ranker_inputs(), st.data())
@@ -304,9 +306,8 @@ def test_sort_by_similarity_matches_scalar_sort(case, data):
     for reference, order in zip(references, ranker.rankings(references)):
         remaining = np.array(data.draw(st.lists(st.booleans(), min_size=len(positives),
                                                 max_size=len(positives))), dtype=bool)
-        items = [item for item, keep in zip(positives, remaining) if keep]
-        got = [positives[i] for i in order[remaining[order]]]
-        assert got == sorted(items, key=lambda it: (-similarity(reference, it[1]), it[0]))
+        kept = [p for p in range(len(positives)) if remaining[p]]
+        assert order[remaining[order]].tolist() == scalar_ranking(reference, positives, kept)
 
 
 @given(ranker_inputs())
@@ -317,7 +318,7 @@ def test_jaccard_table_equals_scalar_jaccard_bit_for_bit(case):
     against itself; the padding row and column hold 0.0."""
     positives, references = case
     ranker = SimilarityRanker(positives)
-    interned = list(dict.fromkeys(e for _, asd in positives for e in asd.entities))
+    interned = list(dict.fromkeys(e for asd in positives for e in asd.entities))
     entities = list(dict.fromkeys([0, *(e for r in references for e in r.entities)]))
     table = ranker._jaccard(entities)
     assert table.shape == (len(entities) + 1, len(interned) + 1)
@@ -328,8 +329,8 @@ def test_jaccard_table_equals_scalar_jaccard_bit_for_bit(case):
 
 def test_ranker_rejects_empty_and_foreign_descriptions():
     with pytest.raises(ValueError):
-        SimilarityRanker([("p", ASD(()))])
-    ranker = SimilarityRanker([("p", ASD.from_id_sets([[0, 1]]))])
+        SimilarityRanker([ASD(())])
+    ranker = SimilarityRanker([ASD.from_id_sets([[0, 1]])])
     for bad in (ASD(()), ASD.from_id_sets([[64]])):
         with pytest.raises(ValueError):
             ranker.scores([bad])
@@ -349,7 +350,7 @@ def test_batched_scores_equal_scalar_similarity_bit_for_bit(case, data):
     assert rows.shape == (len(references), len(positives))
     for reference, row in zip(references, rows):
         assert [x.hex() for x in row.tolist()] == [similarity(reference, asd).hex()
-                                                   for _, asd in positives]
+                                                   for asd in positives]
         assert ranker.scores([reference]).tobytes() == row.tobytes()
     batch = data.draw(st.lists(st.sampled_from(range(len(references))), min_size=1,
                                max_size=12))
@@ -385,7 +386,7 @@ def test_batches_bound_the_ranking_memory():
 
     dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=200, seed=7))
     positives, _ = dataset.split(dataset.labels()[0])
-    ranker = SimilarityRanker([(p.id, p.asd) for p in positives])
+    ranker = SimilarityRanker([p.asd for p in positives])
     rng = random.Random(1)
     references = [p.asd for p in positives] + [
         merge(rng.choice(positives).asd, rng.choice(positives).asd) for _ in range(2000)]
@@ -422,6 +423,7 @@ def mining_inputs(draw):
     [[A], [A, B]], a seed that is not an antichain; random positives may
     hold nested or empty entities too, and some have twins under other ids.
     Negatives that a positive describes are dropped, so the data separate.
+    Also drawn: the positives in another order.
     """
     width = draw(st.sampled_from([8, 64, 65, 300]))
     pool = sorted(draw(st.sets(st.integers(0, width - 1), min_size=2, max_size=6))
@@ -439,15 +441,15 @@ def mining_inputs(draw):
     negatives = [Sample(sid, label, asd)
                  for sid, (label, asd) in zip(ids[len(asds):], rest)]
     samples = draw(st.permutations(positives + negatives))
-    return positives, negatives, samples
+    return positives, negatives, samples, draw(st.permutations(positives))
 
 
 @given(mining_inputs())
 @settings(max_examples=200, deadline=None)
 def test_memoized_mining_matches_scalar_mine(case):
     """The trace memo and the bulk skip of described positives change no
-    candidate."""
-    positives, negatives, samples = case
+    candidate, and neither does the order the positives are passed in."""
+    positives, negatives, samples, shuffled = case
     expected = scalar_mine(positives, negatives)
     serial = mine(positives, negatives)
     assert [c.asd for c in serial] == expected
@@ -455,12 +457,13 @@ def test_memoized_mining_matches_scalar_mine(case):
         assert ccd.coverage == {p.id for p in positives if subsumes(ccd.asd, p.asd)}
     index = NegativeAttributeIndex(samples)
     assert mine_ccds(positives, index) == serial
+    assert mine_ccds(shuffled, index) == serial
 
 
 def test_trace_memo_saves_merges(monkeypatch):
-    """On scenes without twins, where seed dedupe saves nothing, mine_ccds
-    expands no description twice and merges strictly less often than the
-    plain scalar traces."""
+    """On scenes without twins, where no seeds share a frontier entry,
+    mine_ccds expands no description twice and merges strictly less often
+    than the plain scalar traces."""
     calls = {mining: 0, oracle: 0}
 
     def counted(module):
@@ -529,7 +532,7 @@ def test_trace_memo_is_keyed_by_the_description(monkeypatch):
     monkeypatch.setattr(mining, "merge", counted_merge)
     ranked = ranked_references(monkeypatch)
     index = NegativeAttributeIndex(positives + negatives).for_class("pos")
-    ranker = SimilarityRanker([(p.id, p.asd) for p in positives])
+    ranker = SimilarityRanker([p.asd for p in positives])
     positions = np.arange(len(positives))  # the positives lead the index
     p1, p2, p3 = (p.asd for p in positives)
     rule = ASD.from_names(v, [["A"]])
@@ -537,7 +540,7 @@ def test_trace_memo_is_keyed_by_the_description(monkeypatch):
     for seeds in ([0, 1], [1, 0]):
         merges.clear()
         ranked.clear()
-        assert mining._trace(seeds, index, ranker, positions) == [rule, rule]
+        assert mining._trace(seeds, index, ranker, positions) == {rule}
         starts = [ranker.asds[seed] for seed in seeds]
         assert ranked == starts + [rule]
         assert merges == [m for start in starts for m in first[start]]
