@@ -13,8 +13,10 @@ import hashlib
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from importlib import metadata
 from pathlib import Path
+from typing import Iterator
 
 from .data import (GROUPINGS, GeneratorConfig, convert_attribute_matrix,
                    generate_clevr_hans3, load_dataset, load_ground_truth,
@@ -45,6 +47,15 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+@contextmanager
+def _writing(path: Path | str) -> Iterator[None]:
+    """Failing to write ``path`` inside the block is a usage error (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 # ----------------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------------
@@ -59,6 +70,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if given and Path(given).resolve() in (out.resolve(), md.resolve()):
             raise ConfigError(f"--output {args.output!r} would overwrite the {what} "
                               f"{given!r} with a report")
+    if not out.parent.is_dir():  # found before mining, not after
+        raise ConfigError(f"cannot write {out}: no directory {out.parent}")
     # Accepted and checked, but mining always runs in one process.
     if args.parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {args.parallelism}")
@@ -86,8 +99,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                           distance=args.distance,
                           unmatched_cost=args.unmatched_cost,
                           seed=args.seed)
-    out.write_text(serialize_report(report), encoding="utf-8")
-    md.write_text(render_markdown(report), encoding="utf-8")
+    with _writing(out):
+        out.write_text(serialize_report(report), encoding="utf-8")
+    with _writing(md):
+        md.write_text(render_markdown(report), encoding="utf-8")
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for c in result.classes:
@@ -129,9 +144,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     dataset, rules = generate_clevr_hans3(config)
     out = Path(args.output)
-    write_dataset(dataset, out)
+    with _writing(out):
+        write_dataset(dataset, out)
     rules_path = Path(args.ground_truth) if args.ground_truth else out.with_suffix(".rules.jsonl")
-    write_ground_truth(rules, dataset.vocabulary, rules_path)
+    with _writing(rules_path):
+        write_ground_truth(rules, dataset.vocabulary, rules_path)
     print(f"wrote {len(dataset)} samples over {len(dataset.label_index)} classes to {out}")
     print(f"ground-truth rules: {rules_path}")
     return EXIT_OK
@@ -140,7 +157,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_convert(args: argparse.Namespace) -> int:
     dataset = convert_attribute_matrix(args.matrix, grouping=args.grouping,
                                        threshold=args.threshold)
-    write_dataset(dataset, args.output)
+    with _writing(args.output):
+        write_dataset(dataset, args.output)
     print(f"wrote {len(dataset)} samples over {len(dataset.label_index)} classes "
           f"to {args.output}")
     return EXIT_OK

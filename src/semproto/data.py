@@ -12,6 +12,7 @@ rule could ever separate them.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -365,10 +366,13 @@ def convert_attribute_matrix(path: str | Path, grouping: str = "whole",
     sample id prefix.  The first non-blank line sets the delimiter (tab when
     it holds one, else comma) and is skipped as a header when its value
     column is not a number.  Samples whose attributes all fall below the
-    threshold are an error, not silently dropped.
+    threshold are an error, not silently dropped, and so are values and a
+    threshold that are not finite (nan or infinite).
     """
     if grouping not in GROUPINGS:
         raise ConfigError(f"unknown grouping {grouping!r}; expected one of {GROUPINGS}")
+    if not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be a finite number, got {threshold}")
     path = Path(path)
     diagnostics: list[Diagnostic] = []
     rows: list[tuple[str, str, float, str | None]] = []
@@ -390,6 +394,10 @@ def convert_attribute_matrix(path: str | Path, grouping: str = "whole",
             if line_no == first:
                 continue  # header row
             diagnostics.append(Diagnostic(f"value {parts[2]!r} is not a number",
+                                          line=line_no))
+            continue
+        if not math.isfinite(value):
+            diagnostics.append(Diagnostic(f"value {parts[2]!r} is not a finite number",
                                           line=line_no))
             continue
         if not parts[0] or not parts[1]:

@@ -5,12 +5,13 @@ description, the remaining positives are visited most-similar first and
 greedily merged in, keeping a merge only when the generalized description
 still describes no negative sample.  The surviving candidates are deduplicated
 and a greedy maximum-coverage pass picks the final rule set.  A class's traces
-run in lockstep over a map from each description to the one it steps to
-next, so each distinct description is ranked and expanded once, and each
-round ranks all of its descriptions in a few batched numpy calls (see
-``_trace`` and ``SimilarityRanker``).  Mining runs in one process: the
-lockstep sharing spans every seed of a class, and splitting the seeds among
-worker processes would only repeat it.
+run in lockstep, so each distinct description is ranked and expanded once,
+and each round ranks all of its descriptions in a few batched numpy calls
+(``_trace``).  Each question has one owner: the class's ``SimilarityRanker``
+says how similar each positive is to a description and which positives it
+describes, and the dataset's ``NegativeAttributeIndex`` only which negative
+it describes.  Mining runs in one process, since the lockstep sharing spans
+every seed of a class.
 """
 from __future__ import annotations
 
@@ -54,7 +55,8 @@ class ClassClusterDescription:
 # ----------------------------------------------------------------------------
 
 class NegativeAttributeIndex:
-    """Exact entity-containment index over a sequence of samples.
+    """Exact entity-containment index over a sequence of samples: which
+    negative a description describes, and which ids a class holds.
 
     The distinct entities of all samples are interned once.  ``_holders[k]``
     is a bitset of the sample positions that hold interned entity ``k``, and
@@ -69,7 +71,8 @@ class NegativeAttributeIndex:
     Checks consider only the samples flagged in ``negatives`` (at first,
     every sample).  ``for_class`` returns a view masked to one class's
     negatives that shares the memo, so one index built over a whole dataset
-    serves every class.  Sample ids must be unique (``ValueError``).
+    serves every class, and ``members`` lets mining check a class's
+    positives against it.  Sample ids must be unique (``ValueError``).
     """
 
     def __init__(self, samples: Sequence[Sample]):
@@ -77,7 +80,6 @@ class NegativeAttributeIndex:
         if len(set(self._ids)) != len(self._ids):
             raise ValueError("sample ids must be unique")
         self._all = (1 << len(samples)) - 1
-        self._bytes = -(-len(samples) // 8)
         self.negatives = self._all
         labelled: dict[str, list[int]] = {}
         holding: dict[int, list[int]] = {}
@@ -86,7 +88,6 @@ class NegativeAttributeIndex:
             for e in sample.asd.entities:
                 holding.setdefault(e, []).append(pos)
         self._labelled = labelled
-        self._label_bits = {label: _bitset(ps) for label, ps in labelled.items()}
         self._holders = [_bitset(positions) for positions in holding.values()]
         self._all_entities = (1 << len(holding)) - 1
         containing: dict[int, list[int]] = {}
@@ -99,17 +100,13 @@ class NegativeAttributeIndex:
     def for_class(self, label: str) -> "NegativeAttributeIndex":
         """A view whose negatives are the samples not labelled ``label``."""
         view = copy.copy(self)
-        view.negatives = self._all & ~self.labelled(label)
+        view.negatives = self._all & ~_bitset(self._labelled.get(label, ()))
         return view
 
-    def labelled(self, label: str) -> int:
-        """Bitset of the sample positions labelled ``label``."""
-        return self._label_bits.get(label, 0)
-
-    def members(self, label: str) -> dict[str, int]:
-        """Sample position of each id labelled ``label``."""
+    def members(self, label: str) -> set[str]:
+        """Ids of the samples labelled ``label``."""
         ids = self._ids
-        return {ids[pos]: pos for pos in self._labelled.get(label, ())}
+        return {ids[pos] for pos in self._labelled.get(label, ())}
 
     def _holding(self, g: int) -> int:
         """Bitset of the samples holding a superset of entity ``g``."""
@@ -136,31 +133,6 @@ class NegativeAttributeIndex:
             if not mask:
                 break
         return mask
-
-    def described_at(self, candidate: ASD, positions: np.ndarray,
-                     among: np.ndarray) -> np.ndarray:
-        """For each sample position in ``positions``, is it flagged in ``among``
-        and does the candidate describe it?
-
-        Only the flagged samples are checked, so a candidate that describes
-        none of them stops at the first entity that rules them all out.
-        """
-        flags = np.zeros(self._bytes * 8, dtype=np.uint8)
-        flags[positions[among]] = 1
-        mask = int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-        bits = self.described(candidate, mask)
-        flags = np.unpackbits(np.frombuffer(bits.to_bytes(self._bytes, "little"), np.uint8),
-                              bitorder="little")
-        return flags[positions].astype(bool)
-
-    def ids(self, bits: int) -> list[str]:
-        """Ids of the samples flagged in ``bits``, in sample order."""
-        ids = []
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            ids.append(self._ids[low.bit_length() - 1])
-        return ids
 
     def first_described(self, candidate: ASD) -> str | None:
         """Id of the first negative the candidate describes, or None."""
@@ -199,7 +171,8 @@ _BATCH_CAP = 1 << 16
 
 
 class SimilarityRanker:
-    """Orders one class's positives by similarity to reference descriptions.
+    """Orders one class's positives by similarity to reference descriptions,
+    and says which of them each reference describes.
 
     A positive is known only by its position in the sequence the ranker is
     built from; ``mine_ccds`` builds it from the positives in id order, so
@@ -223,12 +196,10 @@ class SimilarityRanker:
     sizes.  Both counts are exact integers, far below 2**53, so each
     quotient is the same correctly rounded float64 that ``asd.jaccard``
     computes from Python ints.  A float64 matrix product of 0/1 bit rows
-    would count intersections exactly too, but it runs through multithreaded
-    BLAS, which is slower at these shapes and spends CPU on every core: at
-    33 reference by 102 interned entities of 5 words, on a 2-vCPU VM with
-    numpy 2.4.6, the product alone took 583 us of wall time (653 us of CPU)
-    against 108 us for this whole table, and an int32 product, which avoids
-    BLAS, took 841 us.
+    counts exactly too, but through multithreaded BLAS: at 33 by 102
+    entities of 5 words (2-vCPU VM, numpy 2.4.6) it took 583 us of wall time
+    (653 us of CPU) against 108 us for this whole table, and an int32
+    product, which avoids BLAS, took 841 us.
 
     Each score equals ``similarity(reference, positive)`` bit for bit.  The
     best matches are added one entity at a time, in entity order, from 0.0,
@@ -239,9 +210,19 @@ class SimilarityRanker:
     it leaves a sum unchanged (x + 0.0 == x), so a reference's row does not
     depend on which batch it was scored in.
 
+    Containment comes from the same intersection counts: entity ``g`` lies
+    inside interned entity ``u`` exactly when |g & u| == |g|, so the empty
+    entity lies inside everything.  A reference describes a positive
+    (``asd.subsumes``) by an ``any`` over the positive's entity slots, whose
+    padding column holds nowhere, then an ``all`` over the reference's
+    entities, whose padding row holds everywhere; again a reference's row
+    does not depend on its batch.
+
     ``batches`` splits references so that no temporary of a batch holds
-    more than ``_BATCH_CAP`` float64 values.  References are merges of
-    positives, so they are never wider than the interned entities.
+    more than ``_BATCH_CAP`` float64 values; the bool containment
+    temporaries have the same shapes, so the cap bounds them too.
+    References are merges of positives, never wider than the interned
+    entities.
     """
 
     def __init__(self, positives: Sequence[ASD]):
@@ -298,6 +279,18 @@ class SimilarityRanker:
 
     def scores(self, references: Sequence[ASD]) -> np.ndarray:
         """``similarity(references[b], p)`` at [b, p], positives in input order."""
+        return self._score(references)[0]
+
+    def rankings(self, references: Sequence[ASD]) -> tuple[np.ndarray, np.ndarray]:
+        """Row b of the first array: positions of all positives, most similar
+        to ``references[b]`` first, ties by ascending position.  The second
+        array: ``subsumes(references[b], p)`` at [b, p]."""
+        scores, described = self._score(references)
+        np.negative(scores, out=scores)
+        return np.argsort(scores, axis=1, kind="stable"), described
+
+    def _score(self, references: Sequence[ASD]) -> tuple[np.ndarray, np.ndarray]:
+        """The scores, and whether each reference describes each positive."""
         rows: dict[int, int] = {}
         for reference in references:
             if not reference.entities:
@@ -312,8 +305,8 @@ class SimilarityRanker:
                        len(rows), dtype=np.intp)
         for b, reference in enumerate(references):
             refs[b, :len(reference.entities)] = [rows[e] for e in reference.entities]
-        table = self._jaccard(tuple(rows))
-        forward = self._forward(table, refs)
+        table, subset = self._jaccard(tuple(rows))
+        forward, described = self._forward(table, subset, refs)
         # match[b, u]: the best match of interned entity u in reference b
         match = table[refs[:, 0]]
         for entity in refs.T[1:]:
@@ -327,14 +320,17 @@ class SimilarityRanker:
         backward /= self._counts
         backward *= 0.5
         forward += backward
-        return forward
+        return forward, described
 
     # _jaccard and _forward are functions of their own so that their
-    # temporaries are freed before scores makes the next ones.
+    # temporaries are freed before _score makes the next ones.
 
-    def _jaccard(self, entities: Sequence[int]) -> np.ndarray:
+    def _jaccard(self, entities: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Jaccard of each given entity (rows) with each interned entity
-        (columns), plus a last row and a last column of 0.0 for padding."""
+        (columns), plus a last row and a last column of 0.0 for padding; and
+        whether each given entity lies inside each interned entity, plus a
+        last row of True at every interned entity and a last column of
+        False."""
         packed = self._pack(entities)
         inter = np.zeros((len(entities), len(self._entities)), dtype=np.int64)
         for w in range(self._words):
@@ -344,26 +340,29 @@ class SimilarityRanker:
         table = np.zeros((len(entities) + 1, len(self._entities) + 1))
         # Two empty entities score 1.0, as in asd.jaccard.
         table[:-1, :-1] = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
-        return table
+        subset = np.zeros(table.shape, dtype=bool)
+        np.equal(inter, sizes[:, None], out=subset[:-1, :-1])
+        subset[-1, :-1] = True
+        return table, subset
 
-    def _forward(self, table: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    def _forward(self, table: np.ndarray, subset: np.ndarray,
+                 refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sum over each reference's entities, in order, of their best
-        matches in each positive."""
-        # best[e, p]: the best match of distinct reference entity e in positive p
+        matches in each positive; and whether each of them lies inside some
+        entity of the positive, that is, whether the reference describes it."""
+        # best[e, p]: the best match of distinct reference entity e in
+        # positive p; inside[e, p]: e lies inside some entity of p
         best = table[:, self._slots[0]]
+        inside = subset[:, self._slots[0]]
         for slot in self._slots[1:]:
             np.maximum(best, table[:, slot], out=best)
+            inside |= subset[:, slot]
         forward = np.zeros((len(refs), len(self.asds)))
+        described = np.ones(forward.shape, dtype=bool)
         for entity in refs.T:           # per reference entity, in order
             forward += best[entity]
-        return forward
-
-    def rankings(self, references: Sequence[ASD]) -> np.ndarray:
-        """Row b: positions of all positives, most similar to ``references[b]``
-        first, ties by ascending position."""
-        scores = self.scores(references)
-        np.negative(scores, out=scores)
-        return np.argsort(scores, axis=1, kind="stable")
+            described &= inside[entity]
+        return forward, described
 
 
 # ----------------------------------------------------------------------------
@@ -371,15 +370,14 @@ class SimilarityRanker:
 # ----------------------------------------------------------------------------
 
 def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
-           ranker: SimilarityRanker, positions: np.ndarray) -> set[ASD]:
+           ranker: SimilarityRanker) -> set[ASD]:
     """Run the given seeds' greedy generalizations in lockstep and return
     the set of their final descriptions.
 
-    ``seeds`` are ranker positions, and ``positions[r]`` is the index sample
-    position of ranker position ``r``.  A seed's trace visits the positives
-    it has not yet visited, most similar to its description first, and
-    moves to the first merge that describes no negative; it ends when none
-    does.
+    ``seeds`` are ranker positions.  A seed's trace visits the positives it
+    has not yet visited, most similar to its description first, and moves
+    to the first merge that describes no negative (the class view
+    ``index``); it ends when none does.
 
     Let the description D be an antichain: an antichain seed, or any
     accepted merge (``merge`` returns an antichain).  Two kinds of positive
@@ -407,7 +405,8 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
     position: those not visited by a trace that reached it, the flags of
     several such traces ANDed together (a positive any of them cleared is
     described or rejected at D).  Each round ranks its whole frontier in a
-    few batched ``SimilarityRanker`` calls, then walks each description's
+    few batched ``ranker`` calls, which also say which positives each
+    description describes, clears those at an antichain, and walks each
     queue; the new descriptions reached form the next round's frontier.
     """
     step: dict[ASD, ASD] = {}
@@ -419,10 +418,11 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
     while frontier:
         reached: dict[ASD, np.ndarray] = {}
         for batch in ranker.batches(list(frontier)):
-            for description, order in zip(batch, ranker.rankings(batch)):
+            orders, described = ranker.rankings(batch)
+            for description, order, covers in zip(batch, orders, described):
                 remaining = frontier[description]
                 if description.is_antichain:
-                    remaining[index.described_at(description, positions, remaining)] = False
+                    remaining &= ~covers
                 step[description] = description
                 queue = order[remaining[order]]
                 for visited, position in enumerate(queue, 1):
@@ -465,10 +465,11 @@ def mine_ccds(positives: Sequence[Sample],
     describes a negative (no sound rule can cover that positive).
 
     Returns the deduplicated candidates in canonical order, each carrying
-    its exact positive coverage.  The positives are put in id order once,
-    so a similarity tie goes to the smaller id; every one of them seeds a
-    trace, and all are traced in one lockstep ``_trace`` over the index's
-    class view and one ranker of the positives, in this process.
+    its exact positive coverage, the positives it ``subsumes``.  The
+    positives are put in id order once, so a similarity tie goes to the
+    smaller id; every one of them seeds a trace, and all are traced in one
+    lockstep ``_trace`` over the index's class view and one ranker of the
+    positives, in this process.
     """
     if not positives:
         raise ValueError("cannot mine from an empty positive set")
@@ -476,8 +477,8 @@ def mine_ccds(positives: Sequence[Sample],
     if len(labels) != 1:
         raise ValueError(f"positives must share one label, got {sorted(labels)}")
     label = positives[0].label
-    where = index.members(label)
-    if len(where) != len(positives) or where.keys() != {p.id for p in positives}:
+    members = index.members(label)
+    if len(members) != len(positives) or members != {p.id for p in positives}:
         raise ValueError(f"the positives are not the index's samples labelled {label!r}")
     index = index.for_class(label)
     for p in positives:
@@ -487,14 +488,12 @@ def mine_ccds(positives: Sequence[Sample],
 
     positives = sorted(positives, key=lambda p: p.id)
     ranker = SimilarityRanker([p.asd for p in positives])
-    positions = np.array([where[p.id] for p in positives], dtype=np.intp)
-    finals = _trace(range(len(positives)), index, ranker, positions)
+    finals = _trace(range(len(positives)), index, ranker)
 
     # Every accepted merge passed the index check inside its trace; the one
     # naive soundness scan runs in pipeline.run_pipeline.
-    own = index.labelled(label)
-    return [ClassClusterDescription(asd, label,
-                                    frozenset(index.ids(index.described(asd, own))))
+    return [ClassClusterDescription(
+                asd, label, frozenset(p.id for p in positives if subsumes(asd, p.asd)))
             for asd in sorted(finals, key=lambda a: a.sort_key)]
 
 

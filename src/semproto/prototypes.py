@@ -89,6 +89,7 @@ def edit_distance(rule: ASD, sample: ASD,
     Precondition: ``rule`` describes ``sample`` (every rule entity has at
     least one superset entity in the sample); raises ``ValueError`` otherwise.
     """
+    _check_mode(unmatched_cost)
     weight, z_cost = _weights(rule, sample, unmatched_cost)
     nz = len(z_cost)
     # a match's insertions less the unmatched charge it earns back
@@ -117,8 +118,8 @@ def _edit_total(rule: ASD, sample: ASD, unmatched_cost: str) -> int:
 
 
 def _weights(rule: ASD, sample: ASD, unmatched_cost: str) -> tuple[Weights, list[int]]:
-    """Insertion weights and the charge of each unmatched sample entity."""
-    _check_mode(unmatched_cost)
+    """Insertion weights and the charge of each unmatched sample entity;
+    ``unmatched_cost`` is a mode its callers have checked."""
     if not rule.entities or not sample.entities:
         raise ValueError("edit distance requires non-empty descriptions")
     z = sample.entities

@@ -152,9 +152,11 @@ def battery_mining_traces(cases: int, seed: int) -> Battery:
 
 def battery_ranker_batches(cases: int, seed: int) -> Battery:
     """Each row of a batched SimilarityRanker.scores call equals the scalar
-    similarity bit for bit, and the same row comes back when the reference
+    similarity bit for bit, each row of the containment table that rankings
+    returns equals subsumes, and the same rows come back when the reference
     is scored alone; references of different entity counts share a batch,
-    and entities are sparse or dense, over one to five words."""
+    some hold the empty entity, and entities are sparse or dense, over one
+    to five words."""
     rng = random.Random(seed)
     failures = 0
     for _ in range(cases):
@@ -168,9 +170,12 @@ def battery_ranker_batches(cases: int, seed: int) -> Battery:
         references = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
         ranker = SimilarityRanker(asds)
         rows = ranker.scores(references)
+        _, described = ranker.rankings(references)
         if any(row.tolist() != [similarity(reference, a) for a in asds]
                or ranker.scores([reference]).tobytes() != row.tobytes()
-               for reference, row in zip(references, rows)):
+               or covers.tolist() != [subsumes(reference, a) for a in asds]
+               or ranker.rankings([reference])[1].tolist() != [covers.tolist()]
+               for reference, row, covers in zip(references, rows, described)):
             failures += 1
     return ("ranker-batches", cases, failures)
 

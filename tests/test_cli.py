@@ -423,10 +423,23 @@ def test_run_rejects_an_output_path_without_a_json_name(args, expected, tmp_path
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
-def test_run_unwritable_output_is_internal(tiny_dataset, tmp_path):
-    rc = main(["run", "--dataset", str(tiny_dataset),
-               "--output", "/nonexistent-dir/report.json"])
-    assert rc == EXIT_INTERNAL
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["run", "generate", "convert"])
+def test_unwritable_output_exits_2(command, where, tiny_dataset, tmp_path, capsys):
+    """An --output in a missing directory, or one that is a directory, is a
+    usage error with one line naming the path, not a traceback.  run finds
+    a missing directory before mining; a directory is found at the write."""
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("pos/s1,a,1.0\nneg/s2,b,1.0\n")
+    inputs = {"run": ["--dataset", str(tiny_dataset)],
+              "generate": ["--samples-per-class", "2"],
+              "convert": ["--matrix", str(matrix)]}
+    out = tmp_path / "missing" / "out.json" if where == "missing-dir" else tmp_path / "dir"
+    (tmp_path / "dir").mkdir()
+    rc = main([command, *inputs[command], "--output", str(out)])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {out}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +465,25 @@ def test_run_unwritable_output_is_internal(tiny_dataset, tmp_path):
      "ground-truth label(s) ['clas1'] name no class of the dataset "
      "(available: ['classA', 'classB'])"),
     (["convert", "--matrix", "{not_utf8}"], "cannot read matrix"),
+    (["convert", "--matrix", "{nan_value}"], "line 1: value 'nan' is not a finite number"),
+    (["convert", "--matrix", "{inf_value}"], "line 1: value 'inf' is not a finite number"),
+    (["convert", "--matrix", "{matrix}", "--threshold", "nan"],
+     "error: threshold must be a finite number, got nan"),
+    (["convert", "--matrix", "{matrix}", "--threshold", "inf"],
+     "error: threshold must be a finite number, got inf"),
 ], ids=["run-missing", "run-directory", "run-not-utf8", "validate-missing",
         "validate-directory", "validate-not-utf8", "ground-truth-missing",
         "ground-truth-not-utf8", "ground-truth-numeric-attribute",
-        "ground-truth-repeated-label", "ground-truth-unknown-label", "convert-not-utf8"])
+        "ground-truth-repeated-label", "ground-truth-unknown-label", "convert-not-utf8",
+        "convert-nan-value", "convert-inf-value", "convert-nan-threshold",
+        "convert-inf-threshold"])
 def test_bad_input_files_exit_2(tiny_dataset, tmp_path, capsys, args, expected):
     paths = {"missing": tmp_path / "missing.jsonl", "directory": tmp_path / "dir",
              "not_utf8": tmp_path / "latin1.jsonl", "tiny": tiny_dataset,
              "numeric_rule": tmp_path / "rules.jsonl",
              "repeated_label": tmp_path / "repeated.jsonl",
-             "unknown_label": tmp_path / "typo.jsonl"}
+             "unknown_label": tmp_path / "typo.jsonl", "matrix": tmp_path / "matrix.csv",
+             "nan_value": tmp_path / "nan.csv", "inf_value": tmp_path / "inf.csv"}
     paths["directory"].mkdir()
     paths["not_utf8"].write_bytes('{"id": "s\u00e9"}\n'.encode("latin-1"))
     paths["numeric_rule"].write_text('{"label": "classA", "rule": [[1, 2]]}\n')
@@ -469,6 +491,8 @@ def test_bad_input_files_exit_2(tiny_dataset, tmp_path, capsys, args, expected):
                                        '{"label": "classA", "rule": [["Y"]]}\n')
     paths["unknown_label"].write_text('{"label": "classA", "rule": [["A"]]}\n'
                                       '{"label": "clas1", "rule": [["E"]]}\n')
+    for name, value in (("matrix", "1.0"), ("nan_value", "nan"), ("inf_value", "inf")):
+        paths[name].write_text(f"pos/s1,a,{value}\n")
     argv = [arg.format(**paths) for arg in args]
     if argv[0] != "validate":
         argv += ["--output", str(tmp_path / "out.json")]
@@ -476,6 +500,7 @@ def test_bad_input_files_exit_2(tiny_dataset, tmp_path, capsys, args, expected):
     captured = capsys.readouterr()
     assert expected in captured.out + captured.err
     assert "Traceback" not in captured.err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_ground_truth_for_a_class_left_out_by_class_is_allowed(tiny_dataset, tmp_path,

@@ -385,3 +385,22 @@ def test_convert_unknown_grouping(tmp_path):
     path = write_matrix(tmp_path, "s1,a,1.0,pos\n")
     with pytest.raises(ConfigError):
         convert_attribute_matrix(path, grouping="bogus")
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_convert_non_finite_value_is_a_line_diagnostic(tmp_path, value):
+    """A value that is not finite is an error on its line: nan never passes
+    the threshold comparison and inf always does, so neither may decide
+    silently whether the attribute is kept."""
+    path = write_matrix(tmp_path, f"s1,a,1.0,pos\ns1,b,{value},pos\n")
+    with pytest.raises(DatasetValidationError) as err:
+        convert_attribute_matrix(path)
+    assert [(d.line, d.message) for d in err.value.diagnostics] == [
+        (2, f"value {value!r} is not a finite number")]
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+def test_convert_non_finite_threshold_is_a_config_error(tmp_path, threshold):
+    path = write_matrix(tmp_path, "s1,a,1.0,pos\n")
+    with pytest.raises(ConfigError, match="threshold must be a finite number"):
+        convert_attribute_matrix(path, threshold=threshold)

@@ -294,7 +294,7 @@ def test_ranker_scores_equal_scalar_similarity(case):
         [scores] = ranker.scores([reference])
         expected = [similarity(reference, asd) for asd in positives]
         assert scores.tolist() == expected
-        [order] = ranker.rankings([reference])
+        [order], _ = ranker.rankings([reference])
         assert order.tolist() == scalar_ranking(reference, positives, range(len(positives)))
 
 
@@ -303,7 +303,7 @@ def test_ranker_scores_equal_scalar_similarity(case):
 def test_sort_by_similarity_matches_scalar_sort(case, data):
     positives, references = case
     ranker = SimilarityRanker(positives)
-    for reference, order in zip(references, ranker.rankings(references)):
+    for reference, order in zip(references, ranker.rankings(references)[0]):
         remaining = np.array(data.draw(st.lists(st.booleans(), min_size=len(positives),
                                                 max_size=len(positives))), dtype=bool)
         kept = [p for p in range(len(positives)) if remaining[p]]
@@ -315,16 +315,21 @@ def test_sort_by_similarity_matches_scalar_sort(case, data):
 def test_jaccard_table_equals_scalar_jaccard_bit_for_bit(case):
     """Every cell of the kernel's table is asd.jaccard of its row entity and
     its interned column entity, to the last bit; the empty entity scores 1.0
-    against itself; the padding row and column hold 0.0."""
+    against itself; the padding row and column hold 0.0.  The subset table
+    says whether the row entity lies inside the column entity, the empty
+    entity inside every one; its padding row is True and its padding column
+    False."""
     positives, references = case
     ranker = SimilarityRanker(positives)
     interned = list(dict.fromkeys(e for asd in positives for e in asd.entities))
     entities = list(dict.fromkeys([0, *(e for r in references for e in r.entities)]))
-    table = ranker._jaccard(entities)
-    assert table.shape == (len(entities) + 1, len(interned) + 1)
-    for row, e in zip(table.tolist(), entities):
+    table, subset = ranker._jaccard(entities)
+    assert table.shape == subset.shape == (len(entities) + 1, len(interned) + 1)
+    for row, inside, e in zip(table.tolist(), subset.tolist(), entities):
         assert [x.hex() for x in row[:-1]] == [jaccard(e, u).hex() for u in interned]
+        assert inside[:-1] == [e & u == e for u in interned]
     assert not table[-1].any() and not table[:, -1].any()
+    assert subset[-1, :-1].all() and not subset[:, -1].any()
 
 
 def test_ranker_rejects_empty_and_foreign_descriptions():
@@ -358,6 +363,26 @@ def test_batched_scores_equal_scalar_similarity_bit_for_bit(case, data):
         assert row.tobytes() == rows[i].tobytes()
 
 
+@given(ranker_inputs(), st.data())
+@settings(max_examples=300)
+def test_ranker_containment_equals_subsumes(case, data):
+    """Each cell of the containment table that rankings returns is
+    asd.subsumes of its reference and positive, for the lone empty entity
+    and merges that hold it too, and a reference's row is the same alone or
+    in any batch."""
+    positives, references = case
+    ranker = SimilarityRanker(positives)
+    _, described = ranker.rankings(references)
+    assert described.shape == (len(references), len(positives))
+    for reference, row in zip(references, described.tolist()):
+        assert row == [subsumes(reference, asd) for asd in positives]
+        assert ranker.rankings([reference])[1].tolist() == [row]
+    batch = data.draw(st.lists(st.sampled_from(range(len(references))), min_size=1,
+                               max_size=12))
+    for i, row in zip(batch, ranker.rankings([references[i] for i in batch])[1]):
+        assert row.tolist() == described[i].tolist()
+
+
 def test_ranker_batches_battery():
     assert battery_ranker_batches(300, 0) == ("ranker-batches", 300, 0)
 
@@ -381,7 +406,8 @@ def test_batches_keep_the_order_and_the_cap(case, cap):
 def test_batches_bound_the_ranking_memory():
     """Ranking one class's 200 positives against 2,200 references, batch by
     batch, peaks at a few temporaries of the cap; one unsplit call peaks
-    several times higher.  The rankings kept are not counted."""
+    several times higher.  The rankings and containment tables kept are not
+    counted."""
     import tracemalloc
 
     dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=200, seed=7))
@@ -393,8 +419,9 @@ def test_batches_bound_the_ranking_memory():
     peaks = []
     for batches in ([references], list(ranker.batches(references))):
         tracemalloc.start()
-        orders = [ranker.rankings(batch) for batch in batches]
-        peaks.append(tracemalloc.get_traced_memory()[1] - sum(o.nbytes for o in orders))
+        kept = [ranker.rankings(batch) for batch in batches]
+        peaks.append(tracemalloc.get_traced_memory()[1]
+                     - sum(a.nbytes for arrays in kept for a in arrays))
         tracemalloc.stop()
     unsplit, batched = peaks
     cap_bytes = 8 * mining._BATCH_CAP
@@ -533,14 +560,13 @@ def test_trace_memo_is_keyed_by_the_description(monkeypatch):
     ranked = ranked_references(monkeypatch)
     index = NegativeAttributeIndex(positives + negatives).for_class("pos")
     ranker = SimilarityRanker([p.asd for p in positives])
-    positions = np.arange(len(positives))  # the positives lead the index
     p1, p2, p3 = (p.asd for p in positives)
     rule = ASD.from_names(v, [["A"]])
     first = {p1: [(p1, p3), (p1, p2)], p2: [(p2, p1)]}
     for seeds in ([0, 1], [1, 0]):
         merges.clear()
         ranked.clear()
-        assert mining._trace(seeds, index, ranker, positions) == {rule}
+        assert mining._trace(seeds, index, ranker) == {rule}
         starts = [ranker.asds[seed] for seed in seeds]
         assert ranked == starts + [rule]
         assert merges == [m for start in starts for m in first[start]]
@@ -677,13 +703,6 @@ def test_dataset_index_matches_naive_scan(case):
             naive = next((n.id for n in negatives if subsumes(candidate, n.asd)), None)
             assert view.first_described(candidate) == naive
             assert check_ccd(candidate, negatives) == (naive is None)
-            covered = index.ids(index.described(candidate, index.labelled(label)))
-            assert covered == [p.id for p in positives if subsumes(candidate, p.asd)]
-            at = np.array([k for k, s in enumerate(samples) if s.label == label][::-1])
-            among = np.arange(len(at)) % 2 == 0
-            assert view.described_at(candidate, at, among).tolist() == [
-                bool(flagged) and subsumes(candidate, samples[k].asd)
-                for k, flagged in zip(at, among)]
         # mining with the shared index: the same inseparability verdict, and
         # every coverage equal to a subsumes scan
         try:
