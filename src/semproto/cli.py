@@ -47,6 +47,27 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _check_outputs(output: str, reads: dict[str, str | None],
+                   writes: dict[str, Path]) -> None:
+    """Refuse a command whose outputs would overwrite an input or each other,
+    or cannot be written as files (a missing directory, or a directory at
+    the path).  ``reads`` and ``writes`` map what a file holds to its path.
+    Every output is checked before the first is written, so a refused
+    command writes nothing (exit 2)."""
+    taken = {Path(given).resolve(): (what, given) for what, given in reads.items() if given}
+    for what, path in writes.items():
+        if path.resolve() in taken:
+            old, given = taken[path.resolve()]
+            raise ConfigError(f"--output {output!r} would overwrite the {old} {given!r} "
+                              f"with the {what}")
+        taken[path.resolve()] = what, str(path)
+    for path in writes.values():
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"cannot write {path}: no directory {path.parent}")
+
+
 @contextmanager
 def _writing(path: Path | str) -> Iterator[None]:
     """Failing to write ``path`` inside the block is a usage error (exit 2)."""
@@ -66,12 +87,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"--output {args.output!r} must name a file whose suffix is "
                           "not .md: the markdown report goes beside it with that suffix")
     md = out.with_suffix(".md")
-    for what, given in (("dataset", args.dataset), ("ground truth", args.ground_truth)):
-        if given and Path(given).resolve() in (out.resolve(), md.resolve()):
-            raise ConfigError(f"--output {args.output!r} would overwrite the {what} "
-                              f"{given!r} with a report")
-    if not out.parent.is_dir():  # found before mining, not after
-        raise ConfigError(f"cannot write {out}: no directory {out.parent}")
+    _check_outputs(args.output,  # before mining, not after
+                   {"dataset": args.dataset, "ground truth": args.ground_truth},
+                   {"report": out, "markdown report": md})
     # Accepted and checked, but mining always runs in one process.
     if args.parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {args.parallelism}")
@@ -142,11 +160,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
         seed=args.seed,
         confounded=args.confounded,
     )
-    dataset, rules = generate_clevr_hans3(config)
     out = Path(args.output)
+    # out.with_suffix(".rules.jsonl"), also for an --output with no name,
+    # which _check_outputs then refuses as a directory
+    rules_path = (Path(args.ground_truth) if args.ground_truth
+                  else out.parent / f"{out.stem}.rules.jsonl")
+    _check_outputs(args.output, {}, {"dataset": out, "ground-truth rules": rules_path})
+    dataset, rules = generate_clevr_hans3(config)
     with _writing(out):
         write_dataset(dataset, out)
-    rules_path = Path(args.ground_truth) if args.ground_truth else out.with_suffix(".rules.jsonl")
     with _writing(rules_path):
         write_ground_truth(rules, dataset.vocabulary, rules_path)
     print(f"wrote {len(dataset)} samples over {len(dataset.label_index)} classes to {out}")
@@ -155,6 +177,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    _check_outputs(args.output, {"matrix": args.matrix}, {"dataset": Path(args.output)})
     dataset = convert_attribute_matrix(args.matrix, grouping=args.grouping,
                                        threshold=args.threshold)
     with _writing(args.output):

@@ -5,12 +5,14 @@ description, the remaining positives are visited most-similar first and
 greedily merged in, keeping a merge only when the generalized description
 still describes no negative sample.  The surviving candidates are deduplicated
 and a greedy maximum-coverage pass picks the final rule set.  A class's traces
-run in lockstep, so each distinct description is ranked and expanded once,
-and each round ranks all of its descriptions in a few batched numpy calls
-(``_trace``).  Each question has one owner: the class's ``SimilarityRanker``
-says how similar each positive is to a description and which positives it
-describes, and the dataset's ``NegativeAttributeIndex`` only which negative
-it describes.  Mining runs in one process, since the lockstep sharing spans
+run in lockstep, so each distinct description is scored and expanded once,
+and each round scores all of its descriptions in a few batched numpy calls
+(``_trace``).  A description's first choice is one masked argmax of its
+scores; its positives are ranked in full only after that merge is rejected.
+Each question has one owner: the class's ``SimilarityRanker`` says how
+similar each positive is to a description and which positives it describes,
+and the dataset's ``NegativeAttributeIndex`` only which negative it
+describes.  Mining runs in one process, since the lockstep sharing spans
 every seed of a class.
 """
 from __future__ import annotations
@@ -163,7 +165,7 @@ def check_ccd(candidate: ASD, negatives: Sequence[Sample]) -> bool:
 
 
 # ----------------------------------------------------------------------------
-# similarity ordering
+# similarity scores
 # ----------------------------------------------------------------------------
 
 # The most float64 values any one temporary of a scoring batch may hold.
@@ -171,8 +173,9 @@ _BATCH_CAP = 1 << 16
 
 
 class SimilarityRanker:
-    """Orders one class's positives by similarity to reference descriptions,
-    and says which of them each reference describes.
+    """Scores one class's positives by similarity to reference descriptions,
+    and says which of them each reference describes; ordering them is left
+    to the caller (``_trace``).
 
     A positive is known only by its position in the sequence the ranker is
     built from; ``mine_ccds`` builds it from the positives in id order, so
@@ -277,20 +280,10 @@ class SimilarityRanker:
         if batch:
             yield batch
 
-    def scores(self, references: Sequence[ASD]) -> np.ndarray:
-        """``similarity(references[b], p)`` at [b, p], positives in input order."""
-        return self._score(references)[0]
-
-    def rankings(self, references: Sequence[ASD]) -> tuple[np.ndarray, np.ndarray]:
-        """Row b of the first array: positions of all positives, most similar
-        to ``references[b]`` first, ties by ascending position.  The second
-        array: ``subsumes(references[b], p)`` at [b, p]."""
-        scores, described = self._score(references)
-        np.negative(scores, out=scores)
-        return np.argsort(scores, axis=1, kind="stable"), described
-
-    def _score(self, references: Sequence[ASD]) -> tuple[np.ndarray, np.ndarray]:
-        """The scores, and whether each reference describes each positive."""
+    def scores(self, references: Sequence[ASD]) -> tuple[np.ndarray, np.ndarray]:
+        """``similarity(references[b], p)`` at [b, p] of the first array, and
+        ``subsumes(references[b], p)`` at [b, p] of the second, positives in
+        input order."""
         rows: dict[int, int] = {}
         for reference in references:
             if not reference.entities:
@@ -323,7 +316,7 @@ class SimilarityRanker:
         return forward, described
 
     # _jaccard and _forward are functions of their own so that their
-    # temporaries are freed before _score makes the next ones.
+    # temporaries are freed before scores makes the next ones.
 
     def _jaccard(self, entities: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Jaccard of each given entity (rows) with each interned entity
@@ -396,18 +389,27 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
     Twins, seeds of one description D, share one frontier entry, which
     excludes only the last of them, and any twin's trace stands for all.  If
     D is an antichain, it describes every twin, so all are cleared before
-    ranking.  If not, only a twin scores 1.0 against D, so the trace first
-    visits another twin and steps to ``D.trimmed``, which is sound because
-    it describes what D describes, and which describes every twin again.
+    the first choice.  If not, only a twin scores 1.0 against D, so the
+    trace first visits another twin and steps to ``D.trimmed``, which is
+    sound because it describes what D describes, and which describes every
+    twin again.
 
     The traces advance breadth first.  ``frontier`` maps each description
     still to expand to the positives left to visit there, flagged by ranker
     position: those not visited by a trace that reached it, the flags of
     several such traces ANDed together (a positive any of them cleared is
-    described or rejected at D).  Each round ranks its whole frontier in a
-    few batched ``ranker`` calls, which also say which positives each
+    described or rejected at D).  Each round scores its whole frontier in a
+    few batched ``ranker.scores`` calls, which also say which positives each
     description describes, clears those at an antichain, and walks each
-    queue; the new descriptions reached form the next round's frontier.
+    description's positives left to visit; the new descriptions reached form
+    the next round's frontier.
+
+    The walk is lazy, because nearly every description accepts its first
+    choice.  The first choices of a whole batch come from one masked argmax
+    over the scores of the positives left to visit (``_firsts``): the
+    highest score, ties to the lowest position, which is where a stable
+    ranking puts it.  A full ranking of a description's row is built only
+    after that first merge is rejected (``_visits``).
     """
     step: dict[ASD, ASD] = {}
     frontier: dict[ASD, np.ndarray] = {}
@@ -418,21 +420,21 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
     while frontier:
         reached: dict[ASD, np.ndarray] = {}
         for batch in ranker.batches(list(frontier)):
-            orders, described = ranker.rankings(batch)
-            for description, order, covers in zip(batch, orders, described):
-                remaining = frontier[description]
+            scores, described = ranker.scores(batch)
+            for description, covers in zip(batch, described):
                 if description.is_antichain:
-                    remaining &= ~covers
+                    frontier[description] &= ~covers
+            firsts = _firsts(scores, np.stack([frontier[d] for d in batch]))
+            for description, row, first in zip(batch, scores, firsts):
+                remaining = frontier[description]
                 step[description] = description
-                queue = order[remaining[order]]
-                for visited, position in enumerate(queue, 1):
+                for position in _visits(row, remaining, first):
                     # No positive left to visit is described by the
                     # description, or it is not an antichain, so every
                     # merge changes it.
                     generalized = merge(description, ranker.asds[position])
                     if index.first_described(generalized) is None:
                         step[description] = generalized
-                        remaining[queue[:visited]] = False
                         if generalized in reached:
                             reached[generalized] &= remaining
                         elif generalized not in step and generalized not in frontier:
@@ -442,6 +444,29 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
     # Each expanded description lies on some seed's path, so the fixed
     # points are exactly the seeds' final descriptions.
     return {d for d, nxt in step.items() if nxt is d}
+
+
+def _firsts(scores: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Per row, the flagged position of the highest score, ties to the lowest
+    position.  Scores are never negative, so an unflagged position never
+    wins, and a row with none flagged lands on an unflagged one."""
+    return np.where(flags, scores, -1.0).argmax(axis=1)
+
+
+def _visits(row: np.ndarray, remaining: np.ndarray, first: int) -> Iterator[int]:
+    """The positions flagged in ``remaining``, highest score in ``row``
+    first, ties to the lower position, each cleared from ``remaining`` as
+    it is yielded.  ``first`` is the first of them, or a cleared position
+    if none is flagged; the rest are ranked only when a second is asked
+    for."""
+    if not remaining[first]:
+        return
+    remaining[first] = False
+    yield first
+    order = np.argsort(-row, kind="stable")
+    for position in order[remaining[order]]:
+        remaining[position] = False
+        yield position
 
 
 # Read only by perfbench/spans.py, which wraps it; goes with ROADMAP item 5.

@@ -152,9 +152,9 @@ def battery_mining_traces(cases: int, seed: int) -> Battery:
 
 def battery_ranker_batches(cases: int, seed: int) -> Battery:
     """Each row of a batched SimilarityRanker.scores call equals the scalar
-    similarity bit for bit, each row of the containment table that rankings
-    returns equals subsumes, and the same rows come back when the reference
-    is scored alone; references of different entity counts share a batch,
+    similarity bit for bit, each row of the containment table it returns
+    equals subsumes, and the same rows come back when the reference is
+    scored alone; references of different entity counts share a batch,
     some hold the empty entity, and entities are sparse or dense, over one
     to five words."""
     rng = random.Random(seed)
@@ -169,12 +169,11 @@ def battery_ranker_batches(cases: int, seed: int) -> Battery:
         pool += [ASD((0,)), ASD((rng.choice(asds).entities[0],))]
         references = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
         ranker = SimilarityRanker(asds)
-        rows = ranker.scores(references)
-        _, described = ranker.rankings(references)
+        rows, described = ranker.scores(references)
         if any(row.tolist() != [similarity(reference, a) for a in asds]
-               or ranker.scores([reference]).tobytes() != row.tobytes()
                or covers.tolist() != [subsumes(reference, a) for a in asds]
-               or ranker.rankings([reference])[1].tolist() != [covers.tolist()]
+               or [alone.tobytes() for alone in ranker.scores([reference])]
+               != [row.tobytes(), covers.tobytes()]
                for reference, row, covers in zip(references, rows, described)):
             failures += 1
     return ("ranker-batches", cases, failures)

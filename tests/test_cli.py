@@ -427,8 +427,8 @@ def test_run_rejects_an_output_path_without_a_json_name(args, expected, tmp_path
 @pytest.mark.parametrize("command", ["run", "generate", "convert"])
 def test_unwritable_output_exits_2(command, where, tiny_dataset, tmp_path, capsys):
     """An --output in a missing directory, or one that is a directory, is a
-    usage error with one line naming the path, not a traceback.  run finds
-    a missing directory before mining; a directory is found at the write."""
+    usage error with one line naming the path, not a traceback, found
+    before anything is read or written."""
     matrix = tmp_path / "matrix.csv"
     matrix.write_text("pos/s1,a,1.0\nneg/s2,b,1.0\n")
     inputs = {"run": ["--dataset", str(tiny_dataset)],
@@ -440,6 +440,47 @@ def test_unwritable_output_exits_2(command, where, tiny_dataset, tmp_path, capsy
     assert rc == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["generate", "--samples-per-class", "2", "--output", "e.jsonl", "--ground-truth",
+      "./e.jsonl"], "would overwrite the dataset 'e.jsonl' with the ground-truth rules"),
+    (["convert", "--matrix", "m.csv", "--output", "./m.csv"],
+     "would overwrite the matrix 'm.csv' with the dataset"),
+], ids=["generate-rules-onto-dataset", "convert-onto-matrix"])
+def test_an_output_may_not_overwrite_an_input(args, expected, tmp_path, monkeypatch,
+                                              capsys):
+    """generate may not write its rules over its dataset, nor convert its
+    dataset over the matrix it reads: one error line, exit 2, and every file
+    as it was."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.csv").write_text("pos/s1,a,1.0\nneg/s2,b,1.0\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert main(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --output ")
+    assert expected in err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("args, refused", [
+    (["generate", "--samples-per-class", "2", "--output", "d.jsonl", "--ground-truth",
+      "missing/r.jsonl"], "missing/r.jsonl: no directory missing"),
+    (["generate", "--samples-per-class", "2", "--output", ""], ".: it is a directory"),
+    (["run", "--dataset", "{tiny}", "--output", "r.json"], "r.md: it is a directory"),
+], ids=["generate-rules-in-missing-dir", "generate-no-name", "run-markdown-is-a-directory"])
+def test_an_unwritable_output_leaves_no_other_behind(args, refused, tiny_dataset, tmp_path,
+                                                    monkeypatch, capsys):
+    """Every output path is checked before the first is written, so a
+    command whose second output cannot be written exits 2 without writing
+    its first."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.md").mkdir()
+    before = sorted(path.name for path in tmp_path.iterdir())
+    assert main([arg.format(tiny=tiny_dataset) for arg in args]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {refused}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
 
 
 # ---------------------------------------------------------------------------
