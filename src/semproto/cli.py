@@ -171,7 +171,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         write_dataset(dataset, out)
     with _writing(rules_path):
         write_ground_truth(rules, dataset.vocabulary, rules_path)
-    print(f"wrote {len(dataset)} samples over {len(dataset.label_index)} classes to {out}")
+    print(f"wrote {len(dataset)} samples over {len(dataset.by_label)} classes to {out}")
     print(f"ground-truth rules: {rules_path}")
     return EXIT_OK
 
@@ -182,7 +182,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
                                        threshold=args.threshold)
     with _writing(args.output):
         write_dataset(dataset, args.output)
-    print(f"wrote {len(dataset)} samples over {len(dataset.label_index)} classes "
+    print(f"wrote {len(dataset)} samples over {len(dataset.by_label)} classes "
           f"to {args.output}")
     return EXIT_OK
 

@@ -33,25 +33,19 @@ class Dataset:
     source: str | None = None
 
     @cached_property
-    def label_index(self) -> dict[str, tuple[str, ...]]:
-        """Label -> sample ids, both in first-appearance order."""
-        index: dict[str, list[str]] = {}
+    def by_label(self) -> dict[str, tuple[Sample, ...]]:
+        """Label -> that label's samples, both in first-appearance order."""
+        groups: dict[str, list[Sample]] = {}
         for s in self.samples:
-            index.setdefault(s.label, []).append(s.id)
-        return {label: tuple(ids) for label, ids in index.items()}
+            groups.setdefault(s.label, []).append(s)
+        return {label: tuple(samples) for label, samples in groups.items()}
 
     @cached_property
     def by_id(self) -> dict[str, Sample]:
         return {s.id: s for s in self.samples}
 
     def labels(self) -> list[str]:
-        return sorted(self.label_index)
-
-    def split(self, label: str) -> tuple[list[Sample], list[Sample]]:
-        """Positives with the label, negatives everything else."""
-        positives = [s for s in self.samples if s.label == label]
-        negatives = [s for s in self.samples if s.label != label]
-        return positives, negatives
+        return sorted(self.by_label)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -62,9 +56,9 @@ class Dataset:
 # ----------------------------------------------------------------------------
 
 def _read_lines(path: Path, what: str) -> list[str]:
-    """The lines of a UTF-8 text file; an unreadable file is a validation error."""
+    """The lines of a UTF-8 file, minus a leading BOM; unreadable is a validation error."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetValidationError([Diagnostic(f"cannot read {what}: {exc}")],
                                      source=str(path))
@@ -108,8 +102,8 @@ class _SampleBuilder:
     """Makes the samples of one input over a fresh vocabulary.
 
     Names are interned in the order the samples are added, and attribute ids
-    fix the canonical entity order, so callers add samples in file order.  A
-    description identical to an earlier one under another label is refused.
+    fix the canonical entity order, so callers add samples in file order.  An
+    empty label, or a description already added under another label, is refused.
     """
 
     def __init__(self):
@@ -119,6 +113,8 @@ class _SampleBuilder:
 
     def add(self, sample_id: str, label: str, names: list[list[str]],
             ref: str | None = None, line: int | None = None) -> Diagnostic | None:
+        if not label:
+            return Diagnostic("empty label", line=line, sample_id=sample_id)
         sample = Sample(sample_id, label, ASD.from_names(self.vocab, names, intern=True),
                         raw_ref=ref)
         first = self._first.setdefault(sample.asd, sample)
@@ -155,8 +151,8 @@ def scan_dataset(lines: Iterable[str], source: str | None = None,
         problems = []
         if named is None:
             problems.append("missing or empty 'id'")
-        if not isinstance(label, str) or not label:
-            problems.append("missing or empty 'label'")
+        if not isinstance(label, str):
+            problems.append("missing or non-string 'label'")
         entity_problem = _entity_problem(names, "asd")
         if entity_problem:
             problems.append(entity_problem)

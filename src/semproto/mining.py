@@ -363,14 +363,16 @@ class SimilarityRanker:
 # ----------------------------------------------------------------------------
 
 def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
-           ranker: SimilarityRanker) -> set[ASD]:
+           ranker: SimilarityRanker) -> dict[ASD, np.ndarray]:
     """Run the given seeds' greedy generalizations in lockstep and return
-    the set of their final descriptions.
+    their final descriptions, each mapped to the ranker positions of the
+    positives it describes, as its row of ``ranker.scores`` marked them.
 
     ``seeds`` are ranker positions.  A seed's trace visits the positives it
     has not yet visited, most similar to its description first, and moves
     to the first merge that describes no negative (the class view
-    ``index``); it ends when none does.
+    ``index``); it ends when none does.  Each expanded description lies on
+    some seed's path, so those that end a walk are the seeds' finals.
 
     Let the description D be an antichain: an antichain seed, or any
     accepted merge (``merge`` returns an antichain).  Two kinds of positive
@@ -378,13 +380,12 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
     into D itself, and stays described by every later, more general
     description.  One whose merge with some earlier description was rejected
     is rejected again: its merge with D subsumes the rejected merge, so it
-    describes the same negative.  So the step from D, next(D), depends on D
-    alone, whichever trace reached it.  ``step`` maps each expanded D to
-    next(D), or to D itself when D is final, and each distinct D is expanded
-    once.  A seed that is not an antichain takes one step of its own: it
-    keeps its described positives (the first it visits trims it, because
-    ``merge(D, p) == D.trimmed`` whenever D subsumes p) and excludes only
-    itself.
+    describes the same negative.  So the step from D depends on D alone,
+    whichever trace reached it, and each distinct D is expanded once
+    (``expanded``).  A seed that is not an antichain takes one step of its
+    own: it keeps its described positives (the first it visits trims it,
+    because ``merge(D, p) == D.trimmed`` whenever D subsumes p) and
+    excludes only itself.
 
     Twins, seeds of one description D, share one frontier entry, which
     excludes only the last of them, and any twin's trace stands for all.  If
@@ -411,7 +412,8 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
     ranking puts it.  A full ranking of a description's row is built only
     after that first merge is rejected (``_visits``).
     """
-    step: dict[ASD, ASD] = {}
+    expanded: set[ASD] = set()
+    finals: dict[ASD, np.ndarray] = {}
     frontier: dict[ASD, np.ndarray] = {}
     for seed in seeds:
         remaining = np.ones(len(ranker.asds), dtype=bool)
@@ -425,25 +427,24 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
                 if description.is_antichain:
                     frontier[description] &= ~covers
             firsts = _firsts(scores, np.stack([frontier[d] for d in batch]))
-            for description, row, first in zip(batch, scores, firsts):
+            for description, row, covers, first in zip(batch, scores, described, firsts):
                 remaining = frontier[description]
-                step[description] = description
+                expanded.add(description)
                 for position in _visits(row, remaining, first):
                     # No positive left to visit is described by the
                     # description, or it is not an antichain, so every
                     # merge changes it.
                     generalized = merge(description, ranker.asds[position])
                     if index.first_described(generalized) is None:
-                        step[description] = generalized
                         if generalized in reached:
                             reached[generalized] &= remaining
-                        elif generalized not in step and generalized not in frontier:
+                        elif generalized not in expanded and generalized not in frontier:
                             reached[generalized] = remaining
                         break
+                else:   # no sound merge: the description is final
+                    finals[description] = np.flatnonzero(covers)
         frontier = reached
-    # Each expanded description lies on some seed's path, so the fixed
-    # points are exactly the seeds' final descriptions.
-    return {d for d, nxt in step.items() if nxt is d}
+    return finals
 
 
 def _firsts(scores: np.ndarray, flags: np.ndarray) -> np.ndarray:
@@ -485,12 +486,13 @@ def mine_ccds(positives: Sequence[Sample],
     positives' label must be exactly the positives, and every other sample
     it holds is a negative, so one index over ``dataset.samples`` serves
     every class.  The checks cost O(positives): ``ValueError`` for an empty
-    or mixed positive set, or one that is not the index's class.
-    ``InseparableDataError`` when some positive's description already
-    describes a negative (no sound rule can cover that positive).
+    positive set, or one that is not exactly the index's samples labelled
+    as its first positive is.  ``InseparableDataError`` when some positive's
+    description already describes a negative (no sound rule can cover that
+    positive).
 
     Returns the deduplicated candidates in canonical order, each carrying
-    its exact positive coverage, the positives it ``subsumes``.  The
+    its exact positive coverage, as ``_trace`` took it from the ranker.  The
     positives are put in id order once, so a similarity tie goes to the
     smaller id; every one of them seeds a trace, and all are traced in one
     lockstep ``_trace`` over the index's class view and one ranker of the
@@ -498,9 +500,6 @@ def mine_ccds(positives: Sequence[Sample],
     """
     if not positives:
         raise ValueError("cannot mine from an empty positive set")
-    labels = {p.label for p in positives}
-    if len(labels) != 1:
-        raise ValueError(f"positives must share one label, got {sorted(labels)}")
     label = positives[0].label
     members = index.members(label)
     if len(members) != len(positives) or members != {p.id for p in positives}:
@@ -518,7 +517,7 @@ def mine_ccds(positives: Sequence[Sample],
     # Every accepted merge passed the index check inside its trace; the one
     # naive soundness scan runs in pipeline.run_pipeline.
     return [ClassClusterDescription(
-                asd, label, frozenset(p.id for p in positives if subsumes(asd, p.asd)))
+                asd, label, frozenset(positives[i].id for i in finals[asd].tolist()))
             for asd in sorted(finals, key=lambda a: a.sort_key)]
 
 

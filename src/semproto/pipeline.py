@@ -55,7 +55,7 @@ def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
         raise ConfigError(f"ground-truth label(s) {unknown} name no class of the dataset "
                           f"(available: {labels})")
     if class_filter is not None:
-        if class_filter not in dataset.label_index:
+        if class_filter not in dataset.by_label:
             raise DatasetValidationError(
                 [Diagnostic(f"label {class_filter!r} does not occur in the dataset "
                             f"(available: {labels})")],
@@ -66,9 +66,10 @@ def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
     # One index over the whole dataset; mine_ccds masks it to each class.
     index = NegativeAttributeIndex(dataset.samples)
     for label in labels:
-        positives, negatives = dataset.split(label)
+        positives = dataset.by_label[label]
         candidates = mine_ccds(positives, index)
         # Independent soundness re-check, naive scan only.
+        negatives = [s for s in dataset.samples if s.label != label]
         for candidate in candidates:
             if not check_ccd(candidate.asd, negatives):  # pragma: no cover
                 raise RuntimeError("mined candidate failed the naive soundness scan")

@@ -338,16 +338,18 @@ def _breakdown_lines(proto: dict, indent: str = "") -> list[str]:
 
 
 def render_explanation(report: dict, sample_id: str) -> str:
-    """Full plain-text explanation for one prototype sample.
+    """Full plain-text explanation for one prototype sample: one per rule it
+    is the prototype of, in report order, separated by a blank line.
 
     ``report`` must pass ``check_report``; a ``sample_id`` that is not one of
     its prototypes raises ``ConfigError``.
     """
-    for block in report["classes"]:
-        for proto in block["prototypes"]:
-            if proto["sampleId"] == sample_id:
-                return _explanation_text(report, block, proto)
-    raise ConfigError(f"sample {sample_id!r} is not a prototype in this report")
+    texts = [_explanation_text(report, block, proto)
+             for block in report["classes"] for proto in block["prototypes"]
+             if proto["sampleId"] == sample_id]
+    if not texts:
+        raise ConfigError(f"sample {sample_id!r} is not a prototype in this report")
+    return "\n".join(texts)
 
 
 def _explanation_text(report: dict, block: dict, proto: dict) -> str:

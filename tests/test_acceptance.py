@@ -155,7 +155,8 @@ def test_criterion_5_rule_soundness_and_completeness(clevr):
     dataset = clevr["dataset"]
     described_negatives = 0
     for class_result in clevr["result"].classes:
-        positives, negatives = dataset.split(class_result.label)
+        positives = dataset.by_label[class_result.label]
+        negatives = [s for s in dataset.samples if s.label != class_result.label]
         covered = set()
         for ccd in class_result.candidates:
             for negative in negatives:

@@ -109,6 +109,34 @@ def test_explain_zero_distance_wording(tiny_dataset, tmp_path, capsys):
     assert "no redundant attributes" in capsys.readouterr().out
 
 
+def test_explain_prints_every_entry_of_a_sample(tmp_path, capsys):
+    """A sample that is the prototype of two rules gets both explanations, in
+    report order, one blank line apart; each reads as it does alone."""
+    data = tmp_path / "two-rules.jsonl"
+    data.write_text("\n".join([
+        '{"id": "a1", "label": "classA", "asd": [["A"]]}',
+        '{"id": "a2", "label": "classA", "asd": [["C"]]}',
+        '{"id": "b1", "label": "classB", "asd": [["E"]]}',
+    ]) + "\n")
+    report, out = run_report(tmp_path, data)
+    block = report["classes"][0]
+    assert [(p["sampleId"], p["ccdIndex"]) for p in block["prototypes"]] == [("a1", 0),
+                                                                            ("a2", 1)]
+    capsys.readouterr()
+    assert main(["explain", "--report", str(out), "--sample", "a1"]) == EXIT_OK
+    alone = capsys.readouterr().out
+    block["prototypes"][1] = dict(block["prototypes"][0], ccdIndex=1)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(report))
+    assert main(["explain", "--report", str(edited), "--sample", "a1"]) == EXIT_OK
+    both = capsys.readouterr().out
+    assert both.startswith(alone + "\n")
+    second = both[len(alone) + 1:]
+    assert second.startswith("Prototype a1 for class 'classA' (rule 2 of 2)\n\n"
+                             f"Rule: {block['ccds'][1]['ruleText']}\n")
+    assert second.endswith("\n") and not second.endswith("\n\n")
+
+
 def test_explain_rejects_non_prototype(tiny_dataset, tmp_path, capsys):
     _, out = run_report(tmp_path, tiny_dataset)
     assert main(["explain", "--report", str(out), "--sample", "a2"]) == EXIT_VALIDATION
@@ -281,7 +309,7 @@ def test_writer_keys_follow_the_schema_table():
                                                       objects_max=5, seed=3))
     result = run_pipeline(dataset, max_prototypes=2)
     for c in result.classes:
-        positives, _ = dataset.split(c.label)
+        positives = dataset.by_label[c.label]
         c.prototypes = [find_prototype(step.ccd, positives, runners_up=2)
                         for step in c.selection]
     report = json.loads(serialize_report(build_report(
@@ -597,6 +625,16 @@ def test_convert_bad_matrix(tmp_path, capsys):
     rc = main(["convert", "--matrix", str(matrix), "--output", str(data)])
     assert rc == EXIT_VALIDATION
     assert "no label" in capsys.readouterr().err
+
+
+def test_convert_refuses_an_empty_label(tmp_path, capsys):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("pos/s1,a,1.0\n/s2,b,1.0\n")
+    data = tmp_path / "converted.jsonl"
+    rc = main(["convert", "--matrix", str(matrix), "--output", str(data)])
+    assert rc == EXIT_VALIDATION
+    assert "sample '/s2': empty label" in capsys.readouterr().err
+    assert not data.exists()
 
 
 def test_generate_custom_ground_truth_path(tmp_path):

@@ -112,6 +112,24 @@ def test_load_dataset_raises_with_diagnostics(tmp_path):
     assert "empty entity" in str(err.value)
 
 
+BOM = "\ufeff"
+
+
+def test_a_leading_byte_order_mark_is_ignored(tmp_path):
+    """A UTF-8 BOM before the first line is not part of the first record,
+    the first matrix row, or the first ground-truth rule."""
+    data = tmp_path / "bom.jsonl"
+    data.write_text(BOM + "\n".join(GOOD_LINES) + "\n", encoding="utf-8")
+    assert [s.id for s in load_dataset(data).samples] == ["a-0", "b-0"]
+    rules = tmp_path / "bom.rules.jsonl"
+    rules.write_text(BOM + '{"label": "a", "rule": [["Large"]]}\n', encoding="utf-8")
+    vocab = Vocabulary()
+    assert load_ground_truth(rules, vocab) == {"a": ASD.from_names(vocab, [["Large"]])}
+    matrix = tmp_path / "bom.csv"
+    matrix.write_text(BOM + "pos/s1,a,1.0\npos/s3,c,1.0\nneg/s2,b,1.0\n", encoding="utf-8")
+    assert convert_attribute_matrix(matrix).labels() == ["neg", "pos"]
+
+
 def test_validate_dataset_missing_file():
     diagnostics = validate_dataset("/nonexistent/nowhere.jsonl")
     assert len(diagnostics) == 1
@@ -131,11 +149,13 @@ def test_write_dataset_round_trip(tmp_path):
                 == b.asd.to_name_lists(dataset.vocabulary))
 
 
-def test_dataset_split():
-    dataset, _ = scan_dataset(GOOD_LINES)
-    positives, negatives = dataset.split("a")
-    assert [s.id for s in positives] == ["a-0"]
-    assert [s.id for s in negatives] == ["b-0"]
+def test_dataset_by_label():
+    """Labels in first-appearance order, each with its samples in file order."""
+    dataset, _ = scan_dataset(GOOD_LINES[::-1] + [
+        '{"id": "b-1", "label": "b", "asd": [["Small"]]}'])
+    assert [(label, [s.id for s in group]) for label, group in dataset.by_label.items()
+            ] == [("b", ["b-0", "b-1"]), ("a", ["a-0"])]
+    assert dataset.labels() == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +335,22 @@ def test_convert_missing_label_is_an_error(tmp_path):
     with pytest.raises(DatasetValidationError) as err:
         convert_attribute_matrix(path)
     assert any("no label" in d.message for d in err.value.diagnostics)
+
+
+@pytest.mark.parametrize("rows, sample", [("s1,a,1.0,pos\ns2,b,1.0,\n", "s2"),
+                                          ("pos/s1,a,1.0\n/s2,b,1.0\n", "/s2")],
+                         ids=["empty-fourth-column", "empty-id-prefix"])
+def test_convert_refuses_an_empty_label(tmp_path, rows, sample):
+    """An empty label is refused by convert as by the dataset loader, with a
+    diagnostic naming the sample."""
+    path = write_matrix(tmp_path, rows)
+    with pytest.raises(DatasetValidationError) as err:
+        convert_attribute_matrix(path)
+    assert [(d.sample_id, d.message) for d in err.value.diagnostics] == [
+        (sample, "empty label")]
+    _, diagnostics = scan_dataset(['{"id": "s2", "label": "", "asd": [["b"]]}'])
+    assert [(d.line, d.sample_id, d.message) for d in diagnostics] == [
+        (1, "s2", "empty label")]
 
 
 def test_convert_conflicting_labels(tmp_path):

@@ -69,6 +69,19 @@ def test_worked_example_converges_to_single_rule():
     assert out[0].class_label == "pos"
 
 
+def test_coverage_comes_from_the_ranker(monkeypatch):
+    """mine_ccds runs no subsumption pass of its own: each candidate's
+    coverage is the positives its ranker row marked as described."""
+    def no_subsumes(*args):
+        raise AssertionError("mine_ccds called mining.subsumes")
+    monkeypatch.setattr(mining, "subsumes", no_subsumes)
+    v = Vocabulary()
+    positives, negatives = worked_instance(v)
+    out = mine(positives, negatives)
+    assert [(c.asd, c.coverage) for c in out] == [(ASD.from_names(v, [["Large", "Cube"]]),
+                                                   {"d1", "d2"})]
+
+
 def test_single_positive_keeps_own_description():
     v = Vocabulary()
     positives = mk_samples(v, "pos", [("d1", [["A", "B"]])])
@@ -434,7 +447,7 @@ def test_batches_bound_the_ranking_memory():
     import tracemalloc
 
     dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=200, seed=7))
-    positives, _ = dataset.split(dataset.labels()[0])
+    positives = dataset.by_label[dataset.labels()[0]]
     ranker = SimilarityRanker([p.asd for p in positives])
     rng = random.Random(1)
     references = [p.asd for p in positives] + [
@@ -526,7 +539,8 @@ def test_trace_memo_saves_merges(monkeypatch):
     ranked = ranked_references(monkeypatch)
     dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=30, seed=3))
     for label in dataset.labels():
-        positives, negatives = dataset.split(label)
+        positives = dataset.by_label[label]
+        negatives = [s for s in dataset.samples if s.label != label]
         assert len({p.asd for p in positives}) == len(positives)
         ranked.clear()
         assert [c.asd for c in mine(positives, negatives)] == scalar_mine(positives,
@@ -557,7 +571,7 @@ def test_each_description_is_ranked_once(monkeypatch):
     per_class = []
     for label in dataset.labels():
         ranked.clear()
-        mine_ccds(dataset.split(label)[0], index)
+        mine_ccds(dataset.by_label[label], index)
         assert ranked and len(set(ranked)) == len(ranked)
         per_class.append(len(ranked))
     assert sum(per_class) <= 326
@@ -589,7 +603,8 @@ def test_trace_memo_is_keyed_by_the_description(monkeypatch):
     for seeds in ([0, 1], [1, 0]):
         merges.clear()
         ranked.clear()
-        assert mining._trace(seeds, index, ranker) == {rule}
+        finals = mining._trace(seeds, index, ranker)
+        assert list(finals) == [rule] and finals[rule].tolist() == [0, 1]
         starts = [ranker.asds[seed] for seed in seeds]
         assert ranked == starts + [rule]
         assert merges == [m for start in starts for m in first[start]]
@@ -623,7 +638,7 @@ def test_descriptions_are_ranked_in_full_only_after_a_rejection(monkeypatch):
     dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=30, seed=3))
     index = NegativeAttributeIndex(dataset.samples)
     for label in dataset.labels():
-        mine_ccds(dataset.split(label)[0], index)
+        mine_ccds(dataset.by_label[label], index)
     assert sum(rows) < len(ranked)
     v = Vocabulary()
     positives = mk_samples(v, "pos", [("p1", [["A", "B", "X"]]),
