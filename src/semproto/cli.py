@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 import traceback
@@ -48,20 +49,28 @@ def _sha256(path: Path) -> str:
 
 
 def _check_outputs(output: str, reads: dict[str, str | None],
-                   writes: dict[str, Path]) -> None:
+                   writes: dict[str, str | Path]) -> None:
     """Refuse a command whose outputs would overwrite an input or each other,
-    or cannot be written as files (a missing directory, or a directory at
-    the path).  ``reads`` and ``writes`` map what a file holds to its path.
-    Every output is checked before the first is written, so a refused
-    command writes nothing (exit 2)."""
+    or cannot be written as files (a path given with a trailing separator,
+    a missing directory, or a directory at the path).  ``reads`` and
+    ``writes`` map what a file holds to its path as given.  Every output is
+    checked before the first is written, so a refused command writes nothing
+    (exit 2)."""
     taken = {Path(given).resolve(): (what, given) for what, given in reads.items() if given}
-    for what, path in writes.items():
-        if path.resolve() in taken:
-            old, given = taken[path.resolve()]
-            raise ConfigError(f"--output {output!r} would overwrite the {old} {given!r} "
+    for what, given in writes.items():
+        path = Path(given).resolve()
+        if path in taken:
+            old, source = taken[path]
+            raise ConfigError(f"--output {output!r} would overwrite the {old} {source!r} "
                               f"with the {what}")
-        taken[path.resolve()] = what, str(path)
-    for path in writes.values():
+        taken[path] = what, str(given)
+    separators = tuple(sep for sep in (os.sep, os.altsep) if sep)
+    for given in writes.values():
+        path = Path(given)
+        # Path drops a trailing separator: "out/" would be written as the file "out"
+        if str(given).endswith(separators):
+            raise ConfigError(f"cannot write {given}: a path that ends in a separator "
+                              "names a directory")
         if path.is_dir():
             raise ConfigError(f"cannot write {path}: it is a directory")
         if not path.parent.is_dir():
@@ -89,7 +98,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     md = out.with_suffix(".md")
     _check_outputs(args.output,  # before mining, not after
                    {"dataset": args.dataset, "ground truth": args.ground_truth},
-                   {"report": out, "markdown report": md})
+                   {"report": args.output, "markdown report": md})
     # Accepted and checked, but mining always runs in one process.
     if args.parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {args.parallelism}")
@@ -117,10 +126,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                           distance=args.distance,
                           unmatched_cost=args.unmatched_cost,
                           seed=args.seed)
-    with _writing(out):
-        out.write_text(serialize_report(report), encoding="utf-8")
-    with _writing(md):
-        md.write_text(render_markdown(report), encoding="utf-8")
+    with _writing(out), out.open("w", encoding="utf-8") as handle:
+        serialize_report(report, handle)
+    with _writing(md), md.open("w", encoding="utf-8") as handle:
+        render_markdown(report, handle)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for c in result.classes:
@@ -165,7 +174,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     # which _check_outputs then refuses as a directory
     rules_path = (Path(args.ground_truth) if args.ground_truth
                   else out.parent / f"{out.stem}.rules.jsonl")
-    _check_outputs(args.output, {}, {"dataset": out, "ground-truth rules": rules_path})
+    _check_outputs(args.output, {},
+                   {"dataset": args.output, "ground-truth rules": args.ground_truth or rules_path})
     dataset, rules = generate_clevr_hans3(config)
     with _writing(out):
         write_dataset(dataset, out)
@@ -177,7 +187,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    _check_outputs(args.output, {"matrix": args.matrix}, {"dataset": Path(args.output)})
+    _check_outputs(args.output, {"matrix": args.matrix}, {"dataset": args.output})
     dataset = convert_attribute_matrix(args.matrix, grouping=args.grouping,
                                        threshold=args.threshold)
     with _writing(args.output):
@@ -265,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     # oracle tests in tests/ also run.
     p_selftest = sub.add_parser("selftest")
     p_selftest.add_argument("--budget", type=int, default=1000,
-                            help="cases per property battery")
+                            help="cases per property battery (at least 1)")
     p_selftest.add_argument("--seed", type=int, default=0)
     p_selftest.set_defaults(func=cmd_selftest)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 from .data import Dataset
 from .errors import ConfigError, SemprotoError
@@ -180,8 +180,12 @@ def _prototype_block(p: PrototypeRecord, ccd_index: int, dataset: Dataset) -> di
     }
 
 
-def serialize_report(report: dict) -> str:
-    return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+def serialize_report(report: dict, handle: TextIO) -> None:
+    """Write ``report`` onto an open text handle as indented JSON and a final
+    newline, chunk by chunk as the encoder yields them, so the text is never
+    held whole."""
+    json.dump(report, handle, indent=2, ensure_ascii=False)
+    handle.write("\n")
 
 
 # ----------------------------------------------------------------------------
@@ -277,7 +281,25 @@ def rule_text(asd_names: list[list[str]], label: str) -> str:
     return f"IF a data point has {body} THEN it belongs to class {label!r}."
 
 
-def render_markdown(report: dict) -> str:
+def render_markdown(report: dict, handle: TextIO) -> None:
+    """Write the markdown rendering of ``report`` onto an open text handle,
+    one class block at a time.  The text ends in a single newline: trailing
+    whitespace is held back until more text follows it, and dropped at the
+    end."""
+    pending = ""
+    for chunk in _markdown_blocks(report):
+        body = chunk.rstrip()
+        if body:
+            handle.write(pending + body)
+            pending = chunk[len(body):]
+        else:
+            pending += chunk
+    handle.write("\n")
+
+
+def _markdown_blocks(report: dict) -> Iterator[str]:
+    """The markdown text in pieces, each ending in a newline: the header with
+    the warnings, then one piece per class."""
     meta = report["metadata"]
     lines = ["# Class description report", ""]
     lines.append(f"- dataset: `{meta['dataset']}` (sha256 `{meta['datasetSha256'][:16]}...`)")
@@ -290,9 +312,9 @@ def render_markdown(report: dict) -> str:
     for warning in report["warnings"]:
         lines.append(f"> warning: {warning}")
         lines.append("")
+    yield "\n".join(lines) + "\n"
     for block in report["classes"]:
-        lines.append(f"## {block['label']} ({block['positives']} samples)")
-        lines.append("")
+        lines = [f"## {block['label']} ({block['positives']} samples)", ""]
         if block["ruleRecovered"] is not None:
             verdict = "matches" if block["ruleRecovered"] else "does NOT match"
             lines.append(f"- top rule {verdict} the ground-truth rule")
@@ -315,7 +337,7 @@ def render_markdown(report: dict) -> str:
             lines.append(f"_Uncovered positives: {', '.join(block['uncovered'][:10])}"
                          f"{', ...' if len(block['uncovered']) > 10 else ''}_")
             lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
+        yield "\n".join(lines) + "\n"
 
 
 def _breakdown_lines(proto: dict, indent: str = "") -> list[str]:

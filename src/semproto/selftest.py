@@ -11,6 +11,7 @@ import random
 from typing import Callable
 
 from .asd import ASD, merge, similarity, subsumes, trim
+from .errors import ConfigError
 from .mining import (NegativeAttributeIndex, Sample, SimilarityRanker, greedy_cover,
                      mine_ccds)
 from .oracle import (OracleBudget, oracle_coverage_opt, oracle_edit_distance,
@@ -192,4 +193,8 @@ ALL_BATTERIES: list[Callable[[int, int], Battery]] = [
 
 
 def run_selftest(cases: int = 1000, seed: int = 0) -> list[Battery]:
+    """Every battery, ``cases`` cases each; fewer than one is a ``ConfigError``,
+    since a battery that runs no case passes without checking anything."""
+    if cases < 1:
+        raise ConfigError(f"selftest budget must be >= 1 case per battery, got {cases}")
     return [battery(cases, seed) for battery in ALL_BATTERIES]

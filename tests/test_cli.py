@@ -2,7 +2,9 @@
 
 import copy
 import hashlib
+import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -312,10 +314,12 @@ def test_writer_keys_follow_the_schema_table():
         positives = dataset.by_label[c.label]
         c.prototypes = [find_prototype(step.ccd, positives, runners_up=2)
                         for step in c.selection]
-    report = json.loads(serialize_report(build_report(
+    written = io.StringIO()
+    serialize_report(build_report(
         result, dataset, dataset_path="d.jsonl", dataset_sha256="0" * 64,
         version="0.0.0", class_filter=None, max_prototypes=2, distance="edit",
-        unmatched_cost="attrs", seed=0)))
+        unmatched_cost="attrs", seed=0), written)
+    report = json.loads(written.getvalue())
     prototypes = [p for c in report["classes"] for p in c["prototypes"]]
     assert any(p["runnersUp"] for p in prototypes)
     assert any(p["unmatchedEntities"] for p in prototypes)
@@ -350,6 +354,132 @@ def test_golden_reports_on_generated_scenes(tmp_path, monkeypatch, capsys):
               for name in ("report.json", "report.md")}
     assert digest == {"report.json": GOLDEN_JSON_SHA256,
                       "report.md": GOLDEN_MD_SHA256}
+
+
+# Non-ASCII labels and attribute names.  Under the default flags "été"
+# takes one two-entity rule whose prototype e01 carries nothing redundant,
+# "hiver-ß" one rule per shape with an extra entity in h01, and "ñandú" a
+# rule whose prototype n01 has to share one witness entity; --max-prototypes 0
+# leaves every class without rules and the 12 "été" positives uncovered.
+BRANCHES_DATASET = [
+    ("e01", "été", [["rouge", "carré"], ["bleu"]]),
+    ("e02", "été", [["rouge", "carré", "grün"], ["bleu"]]),
+    ("e03", "été", [["rouge", "carré"], ["bleu", "ñ"]]),
+    ("e04", "été", [["rouge", "carré"], ["bleu"], ["grün"]]),
+    ("e05", "été", [["rouge", "carré", "Ω"], ["bleu", "日本"]]),
+    ("e06", "été", [["rouge", "carré"], ["bleu"], ["日本", "Ω"]]),
+    ("e07", "été", [["rouge", "carré", "ñ"], ["bleu", "grün"]]),
+    ("e08", "été", [["rouge", "carré", "日本"], ["bleu", "Ω"]]),
+    ("e09", "été", [["rouge", "carré"], ["bleu", "grün", "ñ"]]),
+    ("e10", "été", [["rouge", "carré", "grün"], ["bleu", "日本"]]),
+    ("e11", "été", [["rouge", "carré", "Ω"], ["bleu"], ["ñ"]]),
+    ("e12", "été", [["rouge", "carré"], ["bleu", "Ω"]]),
+    ("h01", "hiver-ß", [["rouge", "carré", "ß"], ["grün"]]),
+    ("h02", "hiver-ß", [["bleu", "grün", "cœur"]]),
+    ("h03", "hiver-ß", [["grün", "ñ"], ["日本"]]),
+    ("h05", "hiver-ß", [["rouge", "carré", "ß"], ["日本"]]),
+    ("n01", "ñandú", [["cœur", "ß"]]),
+    ("n02", "ñandú", [["cœur", "日本"], ["ß", "日本"]]),
+]
+# "été" matches its rule, "ñandú" does not, "hiver-ß" has none
+BRANCHES_RULES = {"été": [["rouge", "carré"], ["bleu"]], "ñandú": [["cœur"]]}
+# lines each report must hold, one per markdown branch it reaches
+BRANCHES_MARKDOWN = {
+    (): ["> warning: class 'été': un avertissement, ß ≠ ss", "## été (12 samples)",
+         "- top rule matches", "- top rule does NOT match", "no redundant attributes",
+         "witnesses had to be shared", "- extra entity {grün} (cost 1)", "(exact)",
+         "(+1: ß)"],
+    ("--max-prototypes", "0"): [
+        "- rules per class: at most 0", "_No rules selected._",
+        "_Uncovered positives: e01, e02, e03, e04, e05, e06, e07, e08, e09, e10, ..._",
+        "- top rule does NOT match"],
+}
+# sha256 of report.json and report.md under the flags of BRANCHES_MARKDOWN,
+# taken from writers that built each file as one string before writing it
+BRANCHES_SHA256 = {
+    (): ("134cfae974fd35c8d19cef81aa35bff181ac69f605668ff776719b18c15505cc",
+         "a9693a3b2952b0a019cf941235d1e4132935eb265d44b560e471b31a650112f4"),
+    ("--max-prototypes", "0"): (
+        "a4140930df0cf75bbcd124c0b8fad4c88d02007cffac1392e4f370aa35e6394c",
+        "62289113f3b5bcb56a9f4f57294a579b41109ecaddacf57d4d4b838d7ecdef49"),
+}
+
+
+def run_branches_report(tmp_path, monkeypatch, *extra):
+    """Run the BRANCHES dataset with a warning added to the pipeline result
+    (every positive is covered, so run writes none itself); return the paths
+    of both reports."""
+    from semproto import cli
+
+    def run_pipeline(*args, **kwargs):
+        result = pipeline(*args, **kwargs)
+        result.warnings.append("class 'été': un avertissement, ß ≠ ss")
+        return result
+    pipeline = cli.run_pipeline
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+    monkeypatch.setattr(cli, "_version", lambda: "0.0.0")
+    monkeypatch.chdir(tmp_path)
+    with open("d.jsonl", "w", encoding="utf-8") as handle:
+        for sample_id, label, asd in BRANCHES_DATASET:
+            handle.write(json.dumps({"id": sample_id, "label": label, "asd": asd}) + "\n")
+    with open("rules.jsonl", "w", encoding="utf-8") as handle:
+        for label, rule in BRANCHES_RULES.items():
+            handle.write(json.dumps({"label": label, "rule": rule}) + "\n")
+    assert main(["run", "--dataset", "d.jsonl", "--ground-truth", "rules.jsonl",
+                 "--output", "report.json", *extra]) == EXIT_OK
+    return tmp_path / "report.json", tmp_path / "report.md"
+
+
+@pytest.mark.parametrize("extra", list(BRANCHES_SHA256), ids=["default", "no-rules"])
+def test_report_bytes_are_pinned_on_every_markdown_branch(extra, tmp_path, monkeypatch,
+                                                          capsys):
+    """Both files are written as they are rendered, byte for byte as when
+    each was built as one string, on reports that reach every branch of the
+    markdown renderer."""
+    paths = run_branches_report(tmp_path, monkeypatch, *extra)
+    capsys.readouterr()
+    text = paths[0].read_text(encoding="utf-8")
+    assert '"label": "ñandú"' in text  # not escaped
+    assert_schema_1(json.loads(text))
+    markdown = paths[1].read_text(encoding="utf-8")
+    for part in BRANCHES_MARKDOWN[extra]:
+        assert part in markdown
+    assert markdown == markdown.rstrip() + "\n"
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
+    assert digests == BRANCHES_SHA256[extra]
+
+
+class _CountingSink:
+    """A text handle that keeps nothing: it only counts what is written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("writer, copies", [("serialize_report", 140),
+                                            ("render_markdown", 600)])
+def test_report_writers_do_not_hold_their_text(writer, copies, tmp_path, monkeypatch,
+                                               capsys):
+    """Each writer streams a report of over 1 MB of text: the memory it
+    allocates at its peak stays under a tenth of the characters it writes."""
+    path, _ = run_branches_report(tmp_path, monkeypatch)
+    capsys.readouterr()
+    report = json.loads(path.read_text(encoding="utf-8"))
+    report["classes"] = [copy.deepcopy(block) for block in report["classes"]
+                         for _ in range(copies)]
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        getattr(report_module, writer)(report, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 1_000_000
+    assert peak < sink.chars / 10
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +641,27 @@ def test_an_unwritable_output_leaves_no_other_behind(args, refused, tiny_dataset
     assert sorted(path.name for path in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("args", [
+    ["convert", "--matrix", "m.csv", "--output", "t2/"],
+    ["generate", "--samples-per-class", "2", "--output", "t3/"],
+    ["generate", "--samples-per-class", "2", "--output", "d.jsonl", "--ground-truth", "t4/"],
+    ["run", "--dataset", "{tiny}", "--output", "sub/"],
+], ids=["convert", "generate", "generate-rules", "run"])
+def test_an_output_ending_in_a_separator_is_refused(args, tiny_dataset, tmp_path,
+                                                   monkeypatch, capsys):
+    """An output path with a trailing separator names a directory; it is
+    refused with one error line, where it used to be written as a file of
+    that name without the separator."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.csv").write_text("pos/s1,a,1.0\nneg/s2,b,1.0\n")
+    before = sorted(path.name for path in tmp_path.iterdir())
+    assert main([arg.format(tiny=tiny_dataset) for arg in args]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot write {args[-1]}: a path that ends in a separator "
+                   "names a directory\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -662,6 +813,17 @@ def test_selftest_command(capsys):
     assert all(line.startswith("PASS") for line in lines)
     assert "PASS ranker-batches (25 cases, 0 failures)" in lines
     assert "PASS merge-canonical (25 cases, 0 failures)" in lines
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_selftest_refuses_a_budget_below_one(budget, capsys):
+    """A battery of no case passes without checking anything: a budget below
+    one is a usage error, not eight PASS lines."""
+    assert main(["selftest", "--budget", budget]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: selftest budget must be >= 1 case per battery, "
+                            f"got {budget}\n")
 
 
 def test_usage_errors(capsys):
