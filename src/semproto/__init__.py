@@ -5,6 +5,8 @@ attributes), mine per-class rules that describe only that class, pick a small
 rule set by greedy coverage, and for every rule surface the covered sample
 with the least redundancy as its prototype.
 """
+__version__ = "0.1.0"  # the one place the version is set; pyproject.toml reads it
+
 from .asd import ASD, Vocabulary, canonicalize, jaccard, merge, similarity, subsumes, trim
 from .data import (CLEVR_HANS3_RULES, Dataset, GeneratorConfig,
                    convert_attribute_matrix, generate_clevr_hans3, load_dataset,
@@ -20,8 +22,6 @@ from .pipeline import ClassResult, PipelineResult, equivalent, run_pipeline
 from .prototypes import (EditDistanceBreakdown, PrototypeRecord, distance_metric_select,
                          edit_distance, find_prototype)
 from .report import build_report, render_explanation, render_markdown, serialize_report
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ASD", "Vocabulary", "canonicalize", "jaccard", "merge", "similarity",

@@ -9,16 +9,15 @@ error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 import time
 import traceback
 from contextlib import contextmanager
-from importlib import metadata
 from pathlib import Path
 from typing import Iterator
 
+from . import __version__
 from .data import (GROUPINGS, GeneratorConfig, convert_attribute_matrix,
                    generate_clevr_hans3, load_dataset, load_ground_truth,
                    validate_dataset, write_dataset, write_ground_truth)
@@ -33,15 +32,23 @@ EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 
 
-def _version() -> str:
+# CPython's own SHA-256, not OpenSSL's: loading OpenSSL's libcrypto costs
+# about 3.5 MB of resident memory for the one digest a run takes.
+try:
+    from _sha2 import sha256 as _new_sha256  # Python 3.12+
+except ImportError:
     try:
-        return metadata.version("semproto")
-    except metadata.PackageNotFoundError:  # pragma: no cover - editable quirk
-        return "0.0.0"
+        from _sha256 import sha256 as _new_sha256  # Python 3.10, 3.11
+    except ImportError:  # pragma: no cover - built without the builtin SHA-256
+        from hashlib import sha256 as _new_sha256
+
+
+def _version() -> str:
+    return __version__
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
+    digest = _new_sha256()
     with path.open("rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)

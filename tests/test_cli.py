@@ -833,18 +833,37 @@ def test_usage_errors(capsys):
 
 
 def test_version_flag(capsys):
+    """The version is ``semproto.__version__``, from a checkout as from an
+    install."""
+    import semproto
     assert main(["--version"]) == EXIT_OK
-    assert "semproto" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"semproto {semproto.__version__}\n"
 
 
-UNLOADED = ("scipy", "concurrent.futures", "multiprocessing")
+@pytest.mark.parametrize("content", [
+    b"",
+    b"x" * (1 << 20),  # exactly one read chunk
+    b"x" * ((1 << 20) + 1),
+    "\ufeff".encode() + TINY_DATASET.encode(),  # a BOM the loader skips
+], ids=["empty", "one-chunk", "one-chunk-plus-one", "bom-dataset"])
+def test_dataset_digest_is_sha256_of_the_raw_bytes(tmp_path, content):
+    from semproto import cli
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(content)
+    assert cli._sha256(path) == hashlib.sha256(content).hexdigest()
 
 
-@pytest.mark.parametrize("module", ["semproto.cli", "semproto.mining"])
-def test_import_leaves_scipy_unloaded(module):
-    """Start-up, and an import of the miner alone, load neither scipy nor the
-    process-pool machinery (``concurrent.futures``, ``multiprocessing``):
-    mining runs in one process."""
+# Loaded by none of start-up, the miner alone, or a whole run: scipy, the
+# process-pool machinery (mining runs in one process), and what only the
+# report's metadata would need (OpenSSL's libcrypto behind hashlib, and
+# importlib.metadata for the version).
+UNLOADED = ("scipy", "concurrent.futures", "multiprocessing",
+            "hashlib", "_hashlib", "importlib.metadata")
+
+
+def _loaded_after(code):
+    """The modules of ``UNLOADED`` in ``sys.modules`` after a fresh
+    interpreter runs ``code``."""
     import os
     import subprocess
     import sys
@@ -854,9 +873,25 @@ def test_import_leaves_scipy_unloaded(module):
     src = str(Path(semproto.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
-            f"if any(m == u or m.startswith(u + '.') for u in {UNLOADED!r})))")
+    code += (f"\nimport sys; print(sorted(m for m in sys.modules "
+             f"if any(m == u or m.startswith(u + '.') for u in {UNLOADED!r})))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["semproto.cli", "semproto.mining"])
+def test_import_leaves_unused_modules_unloaded(module):
+    assert _loaded_after(f"import {module}") == "[]"
+
+
+def test_run_leaves_unused_modules_unloaded(tmp_path, capsys):
+    data, out = tmp_path / "scenes.jsonl", tmp_path / "report.json"
+    assert main(["generate", "--samples-per-class", "5", "--seed", "1",
+                 "--output", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    argv = ["run", "--dataset", str(data), "--output", str(out)]
+    assert _loaded_after(f"import semproto.cli\n"
+                         f"assert semproto.cli.main({argv!r}) == 0") == "[]"
+    assert out.with_suffix(".md").exists()
