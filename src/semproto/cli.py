@@ -32,27 +32,8 @@ EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 
 
-# CPython's own SHA-256, not OpenSSL's: loading OpenSSL's libcrypto costs
-# about 3.5 MB of resident memory for the one digest a run takes.
-try:
-    from _sha2 import sha256 as _new_sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256 as _new_sha256  # Python 3.10, 3.11
-    except ImportError:  # pragma: no cover - built without the builtin SHA-256
-        from hashlib import sha256 as _new_sha256
-
-
 def _version() -> str:
     return __version__
-
-
-def _sha256(path: Path) -> str:
-    digest = _new_sha256()
-    with path.open("rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _check_outputs(output: str, reads: dict[str, str | None],
@@ -109,8 +90,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Accepted and checked, but mining always runs in one process.
     if args.parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {args.parallelism}")
-    dataset_path = Path(args.dataset)
-    dataset = load_dataset(dataset_path)
+    dataset = load_dataset(args.dataset)
     ground_truth = None
     if args.ground_truth:
         ground_truth = load_ground_truth(args.ground_truth, dataset.vocabulary)
@@ -124,15 +104,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         ground_truth=ground_truth,
     )
     elapsed = time.monotonic() - started
-    report = build_report(result, dataset,
-                          dataset_path=str(dataset_path),
-                          dataset_sha256=_sha256(dataset_path),
-                          version=_version(),
-                          class_filter=args.class_filter,
-                          max_prototypes=args.max_prototypes,
-                          distance=args.distance,
-                          unmatched_cost=args.unmatched_cost,
-                          seed=args.seed)
+    report = build_report(result, dataset, version=_version(), seed=args.seed)
     with _writing(out), out.open("w", encoding="utf-8") as handle:
         serialize_report(report, handle)
     with _writing(md), md.open("w", encoding="utf-8") as handle:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -22,6 +22,16 @@ from typing import Iterable, Iterator
 from .asd import ASD, Vocabulary, subsumes
 from .errors import ConfigError, DatasetValidationError, Diagnostic, GenerationError
 from .mining import Sample
+
+# CPython's own SHA-256, not OpenSSL's: loading OpenSSL's libcrypto costs
+# about 3.5 MB of resident memory for the one digest a run takes.
+try:
+    from _sha2 import sha256 as _new_sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256  # Python 3.10, 3.11
+    except ImportError:  # pragma: no cover - built without the builtin SHA-256
+        from hashlib import sha256 as _new_sha256
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,6 +41,7 @@ class Dataset:
     vocabulary: Vocabulary
     samples: tuple[Sample, ...]
     source: str | None = None
+    sha256: str | None = None  # of the bytes load_dataset read; None if not loaded
 
     @cached_property
     def by_label(self) -> dict[str, tuple[Sample, ...]]:
@@ -55,16 +66,22 @@ class Dataset:
 # reading input files
 # ----------------------------------------------------------------------------
 
-def _read_lines(path: Path, what: str) -> list[str]:
-    """The lines of a UTF-8 file, minus a leading BOM; unreadable is a validation error."""
+def _read_lines(path: Path, what: str, digest=None) -> list[str]:
+    """The lines of a UTF-8 file, minus a leading BOM, split at LF, CR LF and
+    lone CR line ends; unreadable is a validation error.  The file is read
+    once, and its bytes are fed to ``digest``, a hash object, when given."""
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        data = path.read_bytes()
+        if digest is not None:
+            digest.update(data)
+        text = data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetValidationError([Diagnostic(f"cannot read {what}: {exc}")],
                                      source=str(path))
+    del data  # the text alone is split
     # Only "\n": str.splitlines would also split JSON strings at U+2028 and
     # other separators that a JSON string may hold unescaped.
-    return text.split("\n")
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _json_objects(lines: Iterable[str], diagnostics: list[Diagnostic],
@@ -180,12 +197,15 @@ def scan_dataset(lines: Iterable[str], source: str | None = None,
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Load and validate a dataset file; raises with every diagnostic on failure."""
+    """Load and validate a dataset file, read once: its ``sha256`` is that of the
+    bytes parsed, BOM included.  Raises with every diagnostic on failure."""
     path = Path(path)
-    dataset, diagnostics = scan_dataset(_read_lines(path, "dataset"), source=str(path))
+    digest = _new_sha256()
+    dataset, diagnostics = scan_dataset(_read_lines(path, "dataset", digest),
+                                        source=str(path))
     if diagnostics:
         raise DatasetValidationError(diagnostics, source=str(path))
-    return dataset
+    return replace(dataset, sha256=digest.hexdigest())
 
 
 def validate_dataset(path: str | Path) -> list[Diagnostic]:
@@ -355,15 +375,16 @@ def convert_attribute_matrix(path: str | Path, grouping: str = "whole",
                              threshold: float = 1.0) -> Dataset:
     """Convert (sample_id, attribute_name, value[, label]) rows to a dataset.
 
-    Values are certainties in [0, 1]; attributes below the threshold are
-    dropped.  Grouping "whole" makes one entity per sample; "part-prefix"
-    groups attributes by the name part before "::" into one entity per part.
-    Labels come from the optional fourth column, else from a "label/rest"
-    sample id prefix.  The first non-blank line sets the delimiter (tab when
-    it holds one, else comma) and is skipped as a header when its value
-    column is not a number.  Samples whose attributes all fall below the
-    threshold are an error, not silently dropped, and so are values and a
-    threshold that are not finite (nan or infinite).
+    Values may be any finite numbers, compared with the threshold as given
+    (no [0, 1] range is assumed): attributes below it are dropped.  Grouping
+    "whole" makes one entity per sample; "part-prefix" groups attributes by
+    the name part before "::" into one entity per part.  Labels come from the
+    optional fourth column, else from a "label/rest" sample id prefix.  The
+    first non-blank line sets the delimiter (tab when it holds one, else
+    comma) and is skipped as a header when its value column is not a number.
+    Samples whose attributes all fall below the threshold are an error, not
+    silently dropped, and so are values and a threshold that are not finite
+    (nan or infinite).
     """
     if grouping not in GROUPINGS:
         raise ConfigError(f"unknown grouping {grouping!r}; expected one of {GROUPINGS}")

@@ -24,7 +24,12 @@ class ClassResult:
 
 @dataclass
 class PipelineResult:
+    """The classes of one run, and the settings ``run_pipeline`` ran with."""
     classes: list[ClassResult]
+    class_filter: str | None
+    max_prototypes: int | None
+    metric: str
+    unmatched_cost: str
     warnings: list[str] = field(default_factory=list)
 
 
@@ -62,7 +67,7 @@ def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
                 source=dataset.source)
         labels = [class_filter]
 
-    result = PipelineResult(classes=[])
+    result = PipelineResult([], class_filter, max_prototypes, metric, unmatched_cost)
     # One index over the whole dataset; mine_ccds masks it to each class.
     index = NegativeAttributeIndex(dataset.samples)
     for label in labels:

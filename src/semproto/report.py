@@ -96,29 +96,31 @@ _KINDS = {
 # building
 # ----------------------------------------------------------------------------
 
-def build_report(result: PipelineResult, dataset: Dataset, *,
-                 dataset_path: str, dataset_sha256: str, version: str,
-                 class_filter: str | None, max_prototypes: int | None,
-                 distance: str, unmatched_cost: str, seed: int) -> dict:
+def build_report(result: PipelineResult, dataset: Dataset, *, version: str,
+                 seed: int) -> dict:
     """Assemble the JSON-ready report for a finished pipeline run.
 
-    The flags echo holds the options that shape the result, and ``seed``;
-    runtime knobs (parallelism) and wall clock stay out, so identical inputs
+    The dataset's path and sha256 come from a ``load_dataset`` result
+    (``ValueError`` for another dataset), the flags from ``result`` and ``seed``.
+    Runtime knobs (parallelism) and wall clock stay out, so identical inputs
     give byte-identical reports.
     """
+    if dataset.source is None or dataset.sha256 is None:
+        raise ValueError("build_report needs a dataset read by load_dataset: "
+                         "the report names its file and that file's sha256")
     classes = [_class_block(c, dataset) for c in result.classes]
     return {
         "schemaVersion": SCHEMA_VERSION,
         "metadata": {
             "tool": TOOL_NAME,
             "version": version,
-            "dataset": dataset_path,
-            "datasetSha256": dataset_sha256,
+            "dataset": dataset.source,
+            "datasetSha256": dataset.sha256,
             "flags": {
-                "classFilter": class_filter,
-                "maxPrototypes": max_prototypes,
-                "distance": distance,
-                "unmatchedCost": unmatched_cost,
+                "classFilter": result.class_filter,
+                "maxPrototypes": result.max_prototypes,
+                "distance": result.metric,
+                "unmatchedCost": result.unmatched_cost,
                 "seed": seed,
             },
         },

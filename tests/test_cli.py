@@ -301,24 +301,24 @@ def test_explain_renderer_bug_is_an_internal_error(tiny_dataset, tmp_path, monke
     assert "malformed" not in err
 
 
-def test_writer_keys_follow_the_schema_table():
+def test_writer_keys_follow_the_schema_table(tmp_path):
     """Every object build_report writes holds the table's fields in the
     table's order, runner-up entries included (run never asks for them)."""
-    from semproto import GeneratorConfig, find_prototype, generate_clevr_hans3, run_pipeline
+    from semproto import (GeneratorConfig, find_prototype, generate_clevr_hans3,
+                          load_dataset, run_pipeline, write_dataset)
     from semproto.report import build_report, serialize_report
 
-    dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=12,
-                                                      objects_max=5, seed=3))
+    generated, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=12,
+                                                        objects_max=5, seed=3))
+    write_dataset(generated, tmp_path / "d.jsonl")
+    dataset = load_dataset(tmp_path / "d.jsonl")
     result = run_pipeline(dataset, max_prototypes=2)
     for c in result.classes:
         positives = dataset.by_label[c.label]
         c.prototypes = [find_prototype(step.ccd, positives, runners_up=2)
                         for step in c.selection]
     written = io.StringIO()
-    serialize_report(build_report(
-        result, dataset, dataset_path="d.jsonl", dataset_sha256="0" * 64,
-        version="0.0.0", class_filter=None, max_prototypes=2, distance="edit",
-        unmatched_cost="attrs", seed=0), written)
+    serialize_report(build_report(result, dataset, version="0.0.0", seed=0), written)
     report = json.loads(written.getvalue())
     prototypes = [p for c in report["classes"] for p in c["prototypes"]]
     assert any(p["runnersUp"] for p in prototypes)
@@ -769,6 +769,19 @@ def test_convert_then_run(tmp_path):
     assert [c["label"] for c in report["classes"]] == ["neg", "pos"]
 
 
+def test_convert_threshold_applies_to_any_finite_value(tmp_path):
+    """Values are not certainties in [0, 1]: each is compared with the
+    threshold as given, so 4 is kept at --threshold 3 and -1 is dropped."""
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("pos/s1,a,4\npos/s1,b,-1\nneg/s2,c,5.0\n")
+    data = tmp_path / "converted.jsonl"
+    assert main(["convert", "--matrix", str(matrix), "--threshold", "3",
+                 "--output", str(data)]) == EXIT_OK
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    assert [(r["id"], r["asd"]) for r in records] == [("pos/s1", [["a"]]),
+                                                     ("neg/s2", [["c"]])]
+
+
 def test_convert_bad_matrix(tmp_path, capsys):
     matrix = tmp_path / "matrix.csv"
     matrix.write_text("s1,a,1.0\n")  # no label anywhere
@@ -841,16 +854,87 @@ def test_version_flag(capsys):
 
 
 @pytest.mark.parametrize("content", [
-    b"",
-    b"x" * (1 << 20),  # exactly one read chunk
-    b"x" * ((1 << 20) + 1),
     "\ufeff".encode() + TINY_DATASET.encode(),  # a BOM the loader skips
-], ids=["empty", "one-chunk", "one-chunk-plus-one", "bom-dataset"])
+    TINY_DATASET.encode(),
+    "".join(f'{{"id": "s{i}", "label": "c", "asd": [["{"x" * 4096}"]]}}\n'
+            for i in range(300)).encode(),  # 300 lines of over 4 KiB
+], ids=["bom-dataset", "plain-dataset", "over-1-mib"])
 def test_dataset_digest_is_sha256_of_the_raw_bytes(tmp_path, content):
-    from semproto import cli
+    from semproto.data import load_dataset
     path = tmp_path / "d.jsonl"
     path.write_bytes(content)
-    assert cli._sha256(path) == hashlib.sha256(content).hexdigest()
+    assert load_dataset(path).sha256 == hashlib.sha256(content).hexdigest()
+
+
+def test_only_a_loaded_dataset_carries_a_digest(tmp_path):
+    """A dataset not read from a dataset file has no sha256, and schema 1
+    needs one: build_report refuses it rather than invent a path or digest."""
+    from semproto import (GeneratorConfig, convert_attribute_matrix, generate_clevr_hans3,
+                          run_pipeline, scan_dataset)
+    from semproto.report import build_report
+
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("pos/s1,a,1.0\nneg/s2,b,1.0\n")
+    datasets = [
+        scan_dataset(TINY_DATASET.split("\n"), source="tiny.jsonl")[0],
+        convert_attribute_matrix(matrix),
+        generate_clevr_hans3(GeneratorConfig(samples_per_class=2, objects_max=3))[0],
+    ]
+    for dataset in datasets:
+        assert dataset.sha256 is None
+        with pytest.raises(ValueError, match="load_dataset"):
+            build_report(run_pipeline(dataset), dataset, version="0.0.0", seed=0)
+
+
+def test_report_digest_names_the_bytes_that_were_mined(tmp_path, monkeypatch):
+    """The digest is taken from the one read the samples were parsed from: a
+    line appended to the file while the run mines changes neither the
+    report's samples nor its datasetSha256, and the file is opened once."""
+    import pathlib
+
+    from semproto import cli
+
+    data = tmp_path / "tiny.jsonl"
+    data.write_text(TINY_DATASET)
+    mined = data.read_bytes()
+    mine = cli.run_pipeline
+
+    def mine_then_append(dataset, **kwargs):
+        with open(data, "a") as handle:
+            handle.write('{"id": "b2", "label": "classB", "asd": [["F"]]}\n')
+        return mine(dataset, **kwargs)
+
+    opens = []
+    path_open = pathlib.Path.open
+
+    def counting_open(self, *args, **kwargs):
+        if self == data:
+            opens.append(args)
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", mine_then_append)
+    monkeypatch.setattr(pathlib.Path, "open", counting_open)
+    report, _ = run_report(tmp_path, data)
+    assert len(opens) == 1
+    assert [b["positives"] for b in report["classes"]] == [2, 1]
+    assert report["metadata"]["datasetSha256"] == hashlib.sha256(mined).hexdigest()
+    assert data.read_bytes() != mined
+
+
+def test_flags_echo_the_settings_of_the_result(tmp_path, tiny_dataset):
+    """A library caller cannot write flags that contradict its result: the
+    echo is the settings run_pipeline ran with."""
+    from semproto import load_dataset, run_pipeline
+    from semproto.report import build_report
+
+    dataset = load_dataset(tiny_dataset)
+    result = run_pipeline(dataset, class_filter="classA", max_prototypes=2,
+                          metric="jaccard", unmatched_cost="zero")
+    report = build_report(result, dataset, version="0.0.0", seed=9)
+    assert report["metadata"]["flags"] == {"classFilter": "classA", "maxPrototypes": 2,
+                                           "distance": "jaccard", "unmatchedCost": "zero",
+                                           "seed": 9}
+    assert [b["label"] for b in report["classes"]] == ["classA"]
 
 
 # Loaded by none of start-up, the miner alone, or a whole run: scipy, the
