@@ -9,24 +9,31 @@ run in lockstep, so each distinct description is scored and expanded once,
 and each round scores all of its descriptions in a few batched numpy calls
 (``_trace``).  A description's first choice is one masked argmax of its
 scores; its positives are ranked in full only after that merge is rejected.
-Each question has one owner: the class's ``SimilarityRanker`` says how
-similar each positive is to a description and which positives it describes,
-and the dataset's ``NegativeAttributeIndex`` only which negative it
-describes.  Mining runs in one process, since the lockstep sharing spans
+Each question has one owner: the class's ``ranker.SimilarityRanker`` says
+how similar each positive is to a description and which positives it
+describes, and the dataset's ``NegativeAttributeIndex`` only which negative
+it describes.  Mining runs in one process, since the lockstep sharing spans
 every seed of a class.
+
+numpy is used only through ``ranker``, which ``mine_ccds`` and ``_trace``
+import when they run, so importing this module (as ``data``, ``pipeline``
+and the CLI do) loads no numpy.
 """
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 # ``similarity`` is the scalar specification that SimilarityRanker's scores
 # equal bit for bit; it stays importable here as ``mining.similarity``.
 from .asd import ASD, entity_ids, merge, similarity, subsumes  # noqa: F401
 from .errors import InseparableDataError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .ranker import SimilarityRanker
 
 
 @dataclass(frozen=True)
@@ -165,200 +172,6 @@ def check_ccd(candidate: ASD, negatives: Sequence[Sample]) -> bool:
 
 
 # ----------------------------------------------------------------------------
-# similarity scores
-# ----------------------------------------------------------------------------
-
-# The most float64 values any one temporary of a scoring batch may hold.
-_BATCH_CAP = 1 << 16
-
-
-class SimilarityRanker:
-    """Scores one class's positives by similarity to reference descriptions,
-    and says which of them each reference describes; ordering them is left
-    to the caller (``_trace``).
-
-    A positive is known only by its position in the sequence the ranker is
-    built from; ``mine_ccds`` builds it from the positives in id order, so
-    a tie broken toward the lower position goes to the smaller id.
-
-    The distinct entities of the positives are interned once as rows of
-    little-endian ``uint64`` words (one word per 64 attributes), stored one
-    contiguous column per word, with each entity's size; each positive is
-    kept as a padded column of indices into them.  ``scores`` takes a batch
-    of references and scores every positive against each of them in a
-    number of numpy calls set by the widest reference and positive, whatever
-    the batch's size: one Jaccard row against the interned entities per
-    distinct reference entity, each row's best match in each positive by a
-    maximum over the positives' entity slots, and each reference's best
-    match for each interned entity by a maximum over its entities' rows.
-
-    The Jaccard table (``_jaccard``) is exact and bit-parallel on one
-    thread.  For each word, an outer AND of the reference entities' word
-    with the interned column, counted by ``np.bitwise_count``, adds to an
-    int64 intersection count; unions are ``|a| + |b| - |a & b|`` from the
-    sizes.  Both counts are exact integers, far below 2**53, so each
-    quotient is the same correctly rounded float64 that ``asd.jaccard``
-    computes from Python ints.  A float64 matrix product of 0/1 bit rows
-    counts exactly too, but through multithreaded BLAS: at 33 by 102
-    entities of 5 words (2-vCPU VM, numpy 2.4.6) it took 583 us of wall time
-    (653 us of CPU) against 108 us for this whole table, and an int32
-    product, which avoids BLAS, took 841 us.
-
-    Each score equals ``similarity(reference, positive)`` bit for bit.  The
-    best matches are added one entity at a time, in entity order, from 0.0,
-    exactly as ``asd.similarity`` adds them (``np.sum`` would add in another
-    order).  References and positives of fewer entities are padded to the
-    widest with an index of a table row or column that stays 0.0.  Jaccard
-    values are never negative, so padding never wins a maximum, and adding
-    it leaves a sum unchanged (x + 0.0 == x), so a reference's row does not
-    depend on which batch it was scored in.
-
-    Containment comes from the same intersection counts: entity ``g`` lies
-    inside interned entity ``u`` exactly when |g & u| == |g|, so the empty
-    entity lies inside everything.  A reference describes a positive
-    (``asd.subsumes``) by an ``any`` over the positive's entity slots, whose
-    padding column holds nowhere, then an ``all`` over the reference's
-    entities, whose padding row holds everywhere; again a reference's row
-    does not depend on its batch.
-
-    ``batches`` splits references so that no temporary of a batch holds
-    more than ``_BATCH_CAP`` float64 values; the bool containment
-    temporaries have the same shapes, so the cap bounds them too.
-    References are merges of positives, never wider than the interned
-    entities.
-    """
-
-    def __init__(self, positives: Sequence[ASD]):
-        self.asds = list(positives)
-        interned: dict[int, int] = {}
-        rows = []
-        for asd in self.asds:
-            if not asd.entities:
-                raise ValueError("similarity is undefined for an empty description")
-            rows.append([interned.setdefault(e, len(interned)) for e in asd.entities])
-        width = max((e.bit_length() for e in interned), default=0)
-        self._words = max(1, -(-width // 64))
-        # Fortran order: each word of the interned entities is one
-        # contiguous column, as the kernel reads it.
-        self._entities = np.asfortranarray(self._pack(tuple(interned)))
-        self._sizes = np.array([e.bit_count() for e in interned], dtype=np.int64)
-        # _slots[k, p] is the k-th entity of positive p.  Padding points one
-        # past the interned entities, at the table column that stays 0.0.
-        self._slots = np.full((max(map(len, rows), default=0), len(rows)),
-                              len(interned), dtype=np.intp)
-        for p, entities in enumerate(rows):
-            self._slots[:len(entities), p] = entities
-        self._counts = np.array([len(r) for r in rows], dtype=np.float64)
-
-    def _pack(self, entities: Sequence[int]) -> np.ndarray:
-        """Entities as rows of little-endian ``uint64`` words."""
-        size = 8 * self._words
-        packed = b"".join(e.to_bytes(size, "little") for e in entities)
-        return np.frombuffer(packed, "<u8").reshape(len(entities), self._words)
-
-    def batches(self, references: Sequence[ASD]) -> Iterator[list[ASD]]:
-        """The references in order, split into batches within ``_BATCH_CAP``.
-
-        A batch of B references with E distinct entities makes temporaries
-        of E x (interned entities), E x positives, B x (interned entities)
-        and B x positives values; the split allows E x (interned entities)
-        x words, which bounds them all.  A single reference may exceed the
-        cap; it is never split.
-        """
-        per_entity = max((len(self._entities) + 1) * self._words, len(self.asds))
-        per_reference = max(len(self._entities) + 1, len(self.asds))
-        batch: list[ASD] = []
-        seen: set[int] = set()
-        for reference in references:
-            fresh = [e for e in reference.entities if e not in seen]
-            if batch and ((len(batch) + 1) * per_reference > _BATCH_CAP
-                          or (len(seen) + len(fresh) + 1) * per_entity > _BATCH_CAP):
-                yield batch
-                batch, seen, fresh = [], set(), reference.entities
-            batch.append(reference)
-            seen.update(fresh)
-        if batch:
-            yield batch
-
-    def scores(self, references: Sequence[ASD]) -> tuple[np.ndarray, np.ndarray]:
-        """``similarity(references[b], p)`` at [b, p] of the first array, and
-        ``subsumes(references[b], p)`` at [b, p] of the second, positives in
-        input order."""
-        rows: dict[int, int] = {}
-        for reference in references:
-            if not reference.entities:
-                raise ValueError("similarity is undefined for an empty description")
-            if reference.attribute_union >> (64 * self._words):
-                raise ValueError("reference is wider than the interned entities")
-            for e in reference.entities:
-                rows.setdefault(e, len(rows))
-        # refs[b, r] is the table row of reference b's r-th entity.  Padding
-        # points one past the distinct entities, at the row that stays 0.0.
-        refs = np.full((len(references), max(len(r.entities) for r in references)),
-                       len(rows), dtype=np.intp)
-        for b, reference in enumerate(references):
-            refs[b, :len(reference.entities)] = [rows[e] for e in reference.entities]
-        table, subset = self._jaccard(tuple(rows))
-        forward, described = self._forward(table, subset, refs)
-        # match[b, u]: the best match of interned entity u in reference b
-        match = table[refs[:, 0]]
-        for entity in refs.T[1:]:
-            np.maximum(match, table[entity], out=match)
-        backward = np.zeros_like(forward)
-        for slot in self._slots:        # per positive entity, in order
-            backward += match[:, slot]
-        # 0.5 * (forward / sizes) + 0.5 * (backward / counts), in place
-        forward /= np.array([[len(r.entities)] for r in references], dtype=np.float64)
-        forward *= 0.5
-        backward /= self._counts
-        backward *= 0.5
-        forward += backward
-        return forward, described
-
-    # _jaccard and _forward are functions of their own so that their
-    # temporaries are freed before scores makes the next ones.
-
-    def _jaccard(self, entities: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Jaccard of each given entity (rows) with each interned entity
-        (columns), plus a last row and a last column of 0.0 for padding; and
-        whether each given entity lies inside each interned entity, plus a
-        last row of True at every interned entity and a last column of
-        False."""
-        packed = self._pack(entities)
-        inter = np.zeros((len(entities), len(self._entities)), dtype=np.int64)
-        for w in range(self._words):
-            inter += np.bitwise_count(np.bitwise_and.outer(packed[:, w], self._entities[:, w]))
-        sizes = np.array([e.bit_count() for e in entities], dtype=np.int64)
-        union = sizes[:, None] + self._sizes - inter
-        table = np.zeros((len(entities) + 1, len(self._entities) + 1))
-        # Two empty entities score 1.0, as in asd.jaccard.
-        table[:-1, :-1] = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
-        subset = np.zeros(table.shape, dtype=bool)
-        np.equal(inter, sizes[:, None], out=subset[:-1, :-1])
-        subset[-1, :-1] = True
-        return table, subset
-
-    def _forward(self, table: np.ndarray, subset: np.ndarray,
-                 refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sum over each reference's entities, in order, of their best
-        matches in each positive; and whether each of them lies inside some
-        entity of the positive, that is, whether the reference describes it."""
-        # best[e, p]: the best match of distinct reference entity e in
-        # positive p; inside[e, p]: e lies inside some entity of p
-        best = table[:, self._slots[0]]
-        inside = subset[:, self._slots[0]]
-        for slot in self._slots[1:]:
-            np.maximum(best, table[:, slot], out=best)
-            inside |= subset[:, slot]
-        forward = np.zeros((len(refs), len(self.asds)))
-        described = np.ones(forward.shape, dtype=bool)
-        for entity in refs.T:           # per reference entity, in order
-            forward += best[entity]
-            described &= inside[entity]
-        return forward, described
-
-
-# ----------------------------------------------------------------------------
 # seed traces
 # ----------------------------------------------------------------------------
 
@@ -412,6 +225,8 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
     ranking puts it.  A full ranking of a description's row is built only
     after that first merge is rejected (``_visits``).
     """
+    from .ranker import _firsts, _visits, np
+
     expanded: set[ASD] = set()
     finals: dict[ASD, np.ndarray] = {}
     frontier: dict[ASD, np.ndarray] = {}
@@ -447,30 +262,8 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
     return finals
 
 
-def _firsts(scores: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Per row, the flagged position of the highest score, ties to the lowest
-    position.  Scores are never negative, so an unflagged position never
-    wins, and a row with none flagged lands on an unflagged one."""
-    return np.where(flags, scores, -1.0).argmax(axis=1)
-
-
-def _visits(row: np.ndarray, remaining: np.ndarray, first: int) -> Iterator[int]:
-    """The positions flagged in ``remaining``, highest score in ``row``
-    first, ties to the lower position, each cleared from ``remaining`` as
-    it is yielded.  ``first`` is the first of them, or a cleared position
-    if none is flagged; the rest are ranked only when a second is asked
-    for."""
-    if not remaining[first]:
-        return
-    remaining[first] = False
-    yield first
-    order = np.argsort(-row, kind="stable")
-    for position in order[remaining[order]]:
-        remaining[position] = False
-        yield position
-
-
-# Read only by perfbench/spans.py, which wraps it; goes with ROADMAP item 5.
+# No pool is left to initialize: only perfbench/spans.py reads this name, and
+# its install wraps it unconditionally.
 _pool_init = None
 
 
@@ -509,6 +302,8 @@ def mine_ccds(positives: Sequence[Sample],
         hit = index.first_described(p.asd)
         if hit is not None:
             raise InseparableDataError(p.id, hit, label)
+
+    from .ranker import SimilarityRanker
 
     positives = sorted(positives, key=lambda p: p.id)
     ranker = SimilarityRanker([p.asd for p in positives])

@@ -12,11 +12,11 @@ from typing import Callable
 
 from .asd import ASD, merge, similarity, subsumes, trim
 from .errors import ConfigError
-from .mining import (NegativeAttributeIndex, Sample, SimilarityRanker, greedy_cover,
-                     mine_ccds)
+from .mining import NegativeAttributeIndex, Sample, greedy_cover, mine_ccds
 from .oracle import (OracleBudget, oracle_coverage_opt, oracle_edit_distance,
                      oracle_trim, random_asds, scalar_mine, subsuming_pairs)
 from .prototypes import edit_distance
+from .ranker import SimilarityRanker
 
 Battery = tuple[str, int, int]  # name, cases, failures
 

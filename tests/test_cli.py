@@ -4,6 +4,7 @@ import copy
 import hashlib
 import io
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -354,6 +355,45 @@ def test_golden_reports_on_generated_scenes(tmp_path, monkeypatch, capsys):
               for name in ("report.json", "report.md")}
     assert digest == {"report.json": GOLDEN_JSON_SHA256,
                       "report.md": GOLDEN_MD_SHA256}
+
+
+@pytest.mark.parametrize("field", ["id", "label"])
+def test_renaming_in_order_renames_the_reports_and_changes_nothing_else(field, tmp_path,
+                                                                         capsys):
+    """Metamorphic relations: renaming the sample ids, or the class labels,
+    by an order-preserving map gives reports that equal the original ones
+    once the new names are mapped back, apart from the report's metadata and
+    the markdown's dataset line, under the default flags, one rule per
+    class and the Jaccard distance."""
+    from semproto.data import GeneratorConfig, generate_clevr_hans3, write_dataset
+
+    dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=20, seed=7))
+    write_dataset(dataset, tmp_path / "original.jsonl")
+    rows = [json.loads(line) for line in
+            (tmp_path / "original.jsonl").read_text(encoding="utf-8").splitlines()]
+    # fixed-width names sort as their ranks, in a form no original name takes
+    renamed = {name: f"zq{rank:05d}"
+               for rank, name in enumerate(sorted({row[field] for row in rows}))}
+    back = {new: old for old, new in renamed.items()}
+    with open(tmp_path / "renamed.jsonl", "w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write(json.dumps({**row, field: renamed[row[field]]}) + "\n")
+
+    def reports(name, *extra):
+        out = tmp_path / f"{name}.json"
+        assert main(["run", "--dataset", str(tmp_path / f"{name}.jsonl"),
+                     "--output", str(out), *extra]) == EXIT_OK
+        texts = [re.sub(r"zq\d{5}", lambda m: back[m.group()],
+                        path.read_text(encoding="utf-8"))
+                 for path in (out, out.with_suffix(".md"))]
+        report = json.loads(texts[0])
+        del report["metadata"]
+        return report, [line for line in texts[1].splitlines()
+                        if not line.startswith("- dataset: ")]
+
+    for extra in ((), ("--max-prototypes", "1"), ("--distance", "jaccard")):
+        assert reports("renamed", *extra) == reports("original", *extra), extra
+    capsys.readouterr()
 
 
 # Non-ASCII labels and attribute names.  Under the default flags "été"
@@ -940,14 +980,16 @@ def test_flags_echo_the_settings_of_the_result(tmp_path, tiny_dataset):
 # Loaded by none of start-up, the miner alone, or a whole run: scipy, the
 # process-pool machinery (mining runs in one process), and what only the
 # report's metadata would need (OpenSSL's libcrypto behind hashlib, and
-# importlib.metadata for the version).
-UNLOADED = ("scipy", "concurrent.futures", "multiprocessing",
+# importlib.metadata for the version).  numpy too, except where mining runs:
+# run, selftest and library calls that mine load it.
+UNLOADED = ("numpy", "scipy", "concurrent.futures", "multiprocessing",
             "hashlib", "_hashlib", "importlib.metadata")
 
 
-def _loaded_after(code):
+def _loaded_after(code, **env):
     """The modules of ``UNLOADED`` in ``sys.modules`` after a fresh
-    interpreter runs ``code``."""
+    interpreter runs ``code``.  ``OPENBLAS_NUM_THREADS`` is unset there
+    unless ``env`` sets it."""
     import os
     import subprocess
     import sys
@@ -955,27 +997,77 @@ def _loaded_after(code):
 
     import semproto
     src = str(Path(semproto.__file__).resolve().parent.parent)
-    env = {**os.environ,
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = {**inherited, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code += (f"\nimport sys; print(sorted(m for m in sys.modules "
-             f"if any(m == u or m.startswith(u + '.') for u in {UNLOADED!r})))")
+    # A package's submodules are never loaded without the package.
+    code += f"\nimport sys; print([u for u in {UNLOADED!r} if u in sys.modules])"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
 
 
-@pytest.mark.parametrize("module", ["semproto.cli", "semproto.mining"])
+@pytest.mark.parametrize("module", ["semproto", "semproto.cli", "semproto.mining"])
 def test_import_leaves_unused_modules_unloaded(module):
     assert _loaded_after(f"import {module}") == "[]"
 
 
+def test_commands_that_mine_nothing_load_no_numpy(tmp_path, capsys):
+    data, out = tmp_path / "scenes.jsonl", tmp_path / "report.json"
+    assert main(["generate", "--samples-per-class", "5", "--seed", "1",
+                 "--output", str(data)]) == EXIT_OK
+    assert main(["run", "--dataset", str(data), "--output", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    sample = json.loads(out.read_text())["classes"][0]["prototypes"][0]["sampleId"]
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("pos/s1,a,1.0\nneg/s2,b,1.0\n")
+    for argv in (["generate", "--samples-per-class", "5", "--output",
+                  str(tmp_path / "g.jsonl")],
+                 ["convert", "--matrix", str(matrix), "--output", str(tmp_path / "c.jsonl")],
+                 ["validate", "--dataset", str(data)],
+                 ["explain", "--report", str(out), "--sample", sample]):
+        assert _loaded_after(f"import semproto.cli\n"
+                             f"assert semproto.cli.main({argv!r}) == 0") == "[]", argv[0]
+
+
+# run, in a fresh interpreter, with a check that numpy is loaded before the
+# dataset, so that its import counts as start-up and not as mining time
+RUN_IN_FRESH_INTERPRETER = """
+import os, sys
+import semproto.cli as cli
+load = cli.load_dataset
+def load_dataset(*args, **kwargs):
+    assert "numpy" in sys.modules, "numpy is imported after the dataset is loaded"
+    return load(*args, **kwargs)
+cli.load_dataset = load_dataset
+assert cli.main({argv!r}) == 0
+assert os.environ["OPENBLAS_NUM_THREADS"] == {threads!r}, os.environ["OPENBLAS_NUM_THREADS"]
+if {threads!r} == "1" and sys.platform == "linux":
+    assert len(os.listdir("/proc/self/task")) == 1, os.listdir("/proc/self/task")
+"""
+
+
 def test_run_leaves_unused_modules_unloaded(tmp_path, capsys):
+    """run loads numpy before the dataset, with one OpenBLAS thread unless
+    the variable is set, and no module of UNLOADED besides."""
     data, out = tmp_path / "scenes.jsonl", tmp_path / "report.json"
     assert main(["generate", "--samples-per-class", "5", "--seed", "1",
                  "--output", str(data)]) == EXIT_OK
     capsys.readouterr()
     argv = ["run", "--dataset", str(data), "--output", str(out)]
-    assert _loaded_after(f"import semproto.cli\n"
-                         f"assert semproto.cli.main({argv!r}) == 0") == "[]"
+    assert _loaded_after(RUN_IN_FRESH_INTERPRETER.format(argv=argv, threads="1")) \
+        == "['numpy']"
     assert out.with_suffix(".md").exists()
+    assert _loaded_after(RUN_IN_FRESH_INTERPRETER.format(argv=argv, threads="2"),
+                         OPENBLAS_NUM_THREADS="2") == "['numpy']"
+
+
+def test_library_mining_leaves_the_environment_alone():
+    assert _loaded_after(
+        "import os, semproto\n"
+        "before = dict(os.environ)\n"
+        "dataset, _ = semproto.generate_clevr_hans3(\n"
+        "    semproto.GeneratorConfig(samples_per_class=5, seed=1))\n"
+        "assert semproto.run_pipeline(dataset).classes\n"
+        "assert dict(os.environ) == before") == "['numpy']"

@@ -27,8 +27,8 @@ from semproto import (
     similarity,
     subsumes,
 )
-from semproto import mining, oracle
-from semproto.mining import SimilarityRanker
+from semproto import mining, oracle, ranker as ranker_module
+from semproto.ranker import SimilarityRanker
 from semproto.oracle import scalar_mine
 from semproto.selftest import battery_greedy_coverage, battery_ranker_batches
 
@@ -301,9 +301,9 @@ def scalar_ranking(reference, positives, positions):
 def visit_order(scores, flags):
     """Each row's positions in the order _trace visits them: the batched
     first choice, then the ranking of the rest."""
-    firsts = mining._firsts(scores, flags)
+    firsts = ranker_module._firsts(scores, flags)
     flags = flags.copy()
-    orders = [[int(p) for p in mining._visits(row, remaining, first)]
+    orders = [[int(p) for p in ranker_module._visits(row, remaining, first)]
               for row, remaining, first in zip(scores, flags, firsts)]
     assert not flags.any()  # every visited position is cleared
     return orders
@@ -429,7 +429,7 @@ def test_batches_keep_the_order_and_the_cap(case, cap):
     positives, references = case
     ranker = SimilarityRanker(positives)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mining, "_BATCH_CAP", cap)
+        patch.setattr(ranker_module, "_BATCH_CAP", cap)
         batches = list(ranker.batches(references))
     assert [r for batch in batches for r in batch] == references
     interned, words = len(ranker._entities) + 1, ranker._words
@@ -460,7 +460,7 @@ def test_batches_bound_the_ranking_memory():
                      - sum(a.nbytes for arrays in kept for a in arrays))
         tracemalloc.stop()
     unsplit, batched = peaks
-    cap_bytes = 8 * mining._BATCH_CAP
+    cap_bytes = 8 * ranker_module._BATCH_CAP
     assert batched < 6 * cap_bytes and unsplit > 3 * batched
 
 
@@ -622,7 +622,7 @@ def sorted_rows(monkeypatch):
         def argsort(self, a, *args, **kwargs):
             rows.append(1 if np.ndim(a) == 1 else len(a))
             return np.argsort(a, *args, **kwargs)
-    monkeypatch.setattr(mining, "np", Numpy())
+    monkeypatch.setattr(ranker_module, "np", Numpy())
     return rows
 
 
@@ -662,7 +662,7 @@ def test_batch_cap_does_not_change_candidates(monkeypatch):
             yield batch
     monkeypatch.setattr(SimilarityRanker, "batches", logged)
     for cap in (1, 120):
-        monkeypatch.setattr(mining, "_BATCH_CAP", cap)
+        monkeypatch.setattr(ranker_module, "_BATCH_CAP", cap)
         sizes.clear()
         for seed in range(6):
             positives, negatives = random_instance(seed, n_pos=12)
