@@ -154,10 +154,10 @@ def battery_mining_traces(cases: int, seed: int) -> Battery:
 def battery_ranker_batches(cases: int, seed: int) -> Battery:
     """Each row of a batched SimilarityRanker.scores call equals the scalar
     similarity bit for bit, each row of the containment table it returns
-    equals subsumes, and the same rows come back when the reference is
-    scored alone; references of different entity counts share a batch,
-    some hold the empty entity, and entities are sparse or dense, over one
-    to five words."""
+    equals subsumes, and the same rows come back when a fresh ranker scores
+    the reference alone, so a row does not depend on its batch; references
+    of different entity counts share a batch, some hold the empty entity,
+    and entities are sparse or dense, over one to five words."""
     rng = random.Random(seed)
     failures = 0
     for _ in range(cases):
@@ -173,7 +173,7 @@ def battery_ranker_batches(cases: int, seed: int) -> Battery:
         rows, described = ranker.scores(references)
         if any(row.tolist() != [similarity(reference, a) for a in asds]
                or covers.tolist() != [subsumes(reference, a) for a in asds]
-               or [alone.tobytes() for alone in ranker.scores([reference])]
+               or [alone.tobytes() for alone in SimilarityRanker(asds).scores([reference])]
                != [row.tobytes(), covers.tobytes()]
                for reference, row, covers in zip(references, rows, described)):
             failures += 1

@@ -28,6 +28,7 @@ from semproto import (
     subsumes,
 )
 from semproto import mining, oracle, ranker as ranker_module
+from semproto.pipeline import _UnionFilter
 from semproto.ranker import SimilarityRanker
 from semproto.oracle import scalar_mine
 from semproto.selftest import battery_greedy_coverage, battery_ranker_batches
@@ -351,21 +352,25 @@ def test_sort_by_similarity_matches_scalar_sort(case, data):
 def test_jaccard_table_equals_scalar_jaccard_bit_for_bit(case):
     """Every cell of the kernel's table is asd.jaccard of its row entity and
     its interned column entity, to the last bit; the empty entity scores 1.0
-    against itself; the padding row and column hold 0.0.  The subset table
-    says whether the row entity lies inside the column entity, the empty
-    entity inside every one; its padding row is True and its padding column
-    False."""
+    against itself; the padding column holds 0.0.  The subset table says
+    whether the row entity lies inside the column entity, the empty entity
+    inside every one; its padding column is False.  The memo's padding row
+    holds 0.0 in the table and the best matches, and True in the
+    containment row, before and after scoring."""
     positives, references = case
     ranker = SimilarityRanker(positives)
     interned = list(dict.fromkeys(e for asd in positives for e in asd.entities))
     entities = list(dict.fromkeys([0, *(e for r in references for e in r.entities)]))
     table, subset = ranker._jaccard(entities)
-    assert table.shape == subset.shape == (len(entities) + 1, len(interned) + 1)
+    assert table.shape == subset.shape == (len(entities), len(interned) + 1)
     for row, inside, e in zip(table.tolist(), subset.tolist(), entities):
         assert [x.hex() for x in row[:-1]] == [jaccard(e, u).hex() for u in interned]
         assert inside[:-1] == [e & u == e for u in interned]
-    assert not table[-1].any() and not table[:, -1].any()
-    assert subset[-1, :-1].all() and not subset[:, -1].any()
+    assert not table[:, -1].any() and not subset[:, -1].any()
+    for _ in range(2):
+        assert not ranker._table[0].any() and not ranker._best[0].any()
+        assert ranker._inside[0].all()
+        ranker.scores(references)
 
 
 def test_ranker_rejects_empty_and_foreign_descriptions():
@@ -419,6 +424,31 @@ def test_ranker_containment_equals_subsumes(case, data):
         assert row.tolist() == described[i].tolist()
 
 
+@given(ranker_inputs(), st.data())
+@settings(max_examples=300)
+def test_memo_rows_equal_fresh_rows(case, data):
+    """One ranker scores every reference twice, in a shuffled sequence of
+    batches, so later batches read rows its memo already holds.  Each batch's
+    rows equal, bit for bit, those of a fresh ranker scoring that batch
+    alone, asd.similarity and asd.subsumes; the references include the lone
+    empty entity and merges that hold it."""
+    positives, references = case
+    sequence = data.draw(st.permutations(references + references))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(sequence) - 1), max_size=6)))
+    warm = SimilarityRanker(positives)
+    for start, stop in zip([0, *cuts], [*cuts, len(sequence)]):
+        batch = sequence[start:stop]
+        rows, described = warm.scores(batch)
+        fresh_rows, fresh_described = SimilarityRanker(positives).scores(batch)
+        assert rows.tobytes() == fresh_rows.tobytes()
+        assert described.tobytes() == fresh_described.tobytes()
+        for reference, row, covers in zip(batch, rows.tolist(), described.tolist()):
+            assert [x.hex() for x in row] == [similarity(reference, asd).hex()
+                                              for asd in positives]
+            assert covers == [subsumes(reference, asd) for asd in positives]
+    assert len(warm._row) == len({e for r in references for e in r.entities})
+
+
 def test_ranker_batches_battery():
     assert battery_ranker_batches(300, 0) == ("ranker-batches", 300, 0)
 
@@ -439,29 +469,44 @@ def test_batches_keep_the_order_and_the_cap(case, cap):
         assert (distinct + 1) * max(interned * words, len(positives)) <= cap or len(batch) == 1
 
 
-def test_batches_bound_the_ranking_memory():
+@pytest.mark.parametrize("batch_cap", [1 << 16, 1 << 13])
+def test_batches_bound_the_ranking_memory(monkeypatch, batch_cap):
     """Scoring one class's 200 positives against 2,200 references, batch by
-    batch, peaks at a few temporaries of the cap; one unsplit call peaks
-    several times higher.  The score and containment tables kept are not
-    counted."""
+    batch, peaks at a few temporaries of the batch cap plus the memo, which
+    never holds more values than its cap; one unsplit call peaks several
+    times higher.  The memo counts towards the peak, the score and
+    containment tables kept do not.  With both caps scaled down by 8, the
+    memo clears partway through."""
     import tracemalloc
 
+    monkeypatch.setattr(ranker_module, "_MEMO_CAP", ranker_module._MEMO_CAP
+                        // ranker_module._BATCH_CAP * batch_cap)
+    monkeypatch.setattr(ranker_module, "_BATCH_CAP", batch_cap)
     dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=200, seed=7))
-    positives = dataset.by_label[dataset.labels()[0]]
-    ranker = SimilarityRanker([p.asd for p in positives])
+    positives = [p.asd for p in dataset.by_label[dataset.labels()[0]]]
     rng = random.Random(1)
-    references = [p.asd for p in positives] + [
-        merge(rng.choice(positives).asd, rng.choice(positives).asd) for _ in range(2000)]
-    peaks = []
-    for batches in ([references], list(ranker.batches(references))):
+    references = positives + [merge(rng.choice(positives), rng.choice(positives))
+                              for _ in range(2000)]
+    peaks, memo_bytes, cleared = [], 0, False
+    for split in (False, True):
+        ranker = SimilarityRanker(positives)
+        batches = list(ranker.batches(references)) if split else [references]
         tracemalloc.start()
-        kept = [ranker.scores(batch) for batch in batches]
+        kept = []
+        for batch in batches:
+            held = len(ranker._row)
+            kept.append(ranker.scores(batch))
+            cleared |= len(ranker._row) < held
+            if split:
+                assert len(ranker._table) * ranker._row_values <= ranker_module._MEMO_CAP
+                memo_bytes = max(memo_bytes, sum(
+                    a.nbytes for a in (ranker._table, ranker._best, ranker._inside)))
         peaks.append(tracemalloc.get_traced_memory()[1]
                      - sum(a.nbytes for arrays in kept for a in arrays))
         tracemalloc.stop()
     unsplit, batched = peaks
-    cap_bytes = 8 * ranker_module._BATCH_CAP
-    assert batched < 6 * cap_bytes and unsplit > 3 * batched
+    assert batched < 6 * 8 * batch_cap + 2 * memo_bytes and unsplit > 3 * batched
+    assert cleared == (batch_cap < 1 << 16)
 
 
 @given(st.integers(0, 10_000), st.sampled_from([8, 70]))
@@ -521,6 +566,42 @@ def test_memoized_mining_matches_scalar_mine(case):
     index = NegativeAttributeIndex(samples)
     assert mine_ccds(positives, index) == serial
     assert mine_ccds(shuffled, index) == serial
+
+
+@given(mining_inputs(), st.sampled_from([1, 60, 400]))
+@settings(max_examples=100, deadline=None)
+def test_memo_cleared_partway_mines_the_same_candidates(case, cap):
+    """With the memo cap cut to a few rows, or to less than one, the memo
+    clears partway through a class, and mining finds the same candidates
+    with the same coverage."""
+    positives, negatives, samples, _ = case
+    expected = mine(positives, negatives)
+    index = NegativeAttributeIndex(samples)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranker_module, "_MEMO_CAP", cap)
+        assert mine_ccds(positives, index) == expected
+
+
+def test_memo_clears_on_generated_scenes(monkeypatch):
+    """On generated scenes, a memo capped at 40 rows clears many times per
+    class, and each class mines the same candidates as with the full cap."""
+    dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=40, seed=5))
+    index = NegativeAttributeIndex(dataset.samples)
+    expected = [mine_ccds(dataset.by_label[label], index) for label in dataset.labels()]
+    dropped = []
+    clear = SimilarityRanker._clear
+
+    def counted(self):
+        dropped.append(len(self._row))
+        clear(self)
+    monkeypatch.setattr(SimilarityRanker, "_clear", counted)
+    for label, candidates in zip(dataset.labels(), expected):
+        positives = dataset.by_label[label]
+        row_values = SimilarityRanker([p.asd for p in positives])._row_values
+        monkeypatch.setattr(ranker_module, "_MEMO_CAP", 40 * row_values)
+        dropped.clear()
+        assert mine_ccds(positives, index) == candidates
+        assert sum(held > 0 for held in dropped) > 1
 
 
 def test_trace_memo_saves_merges(monkeypatch):
@@ -719,6 +800,36 @@ def test_check_ccd_matches_a_plain_subsumption_scan(case):
     for candidate in candidates:
         assert check_ccd(candidate, negatives) == (
             not any(subsumes(candidate, n.asd) for n in negatives))
+
+
+@given(naive_scan_inputs())
+@settings(max_examples=300)
+def test_union_prefilter_keeps_every_described_negative(case):
+    """run_pipeline's soundness re-check scans only the negatives whose
+    attribute union contains the candidate's.  Those are exactly the
+    samples of other labels that pass that test, they include every
+    negative the candidate describes, and check_ccd over them gives the
+    plain subsumes scan's verdict.  The empty union keeps every negative;
+    a class with no negatives scans none."""
+    candidates, negatives = case
+    positives = [Sample(f"p{i}", "pos", c) for i, c in enumerate(candidates[2:])]
+    samples = [s for pair in zip(negatives, positives) for s in pair]
+    samples += negatives[len(positives):] + positives[len(negatives):]
+    unions = _UnionFilter(samples)
+    lone = _UnionFilter(negatives)
+    for candidate in candidates:
+        union = candidate.attribute_union
+        scan = unions.containing(candidate, unions.outside("pos"))
+        assert scan == [s for s in samples if s.label != "pos"
+                        and union & s.asd.attribute_union == union]
+        described = [n for n in negatives if subsumes(candidate, n.asd)]
+        assert all(n in scan for n in described)
+        assert check_ccd(candidate, scan) == (not described)
+        if not union:
+            assert scan == [s for s in samples if s.label != "pos"]
+        assert unions.containing(candidate, unions.outside("missing")) == [
+            s for s in samples if union & s.asd.attribute_union == union]
+        assert lone.containing(candidate, lone.outside("neg")) == []
 
 
 @given(st.integers(0, 500))
