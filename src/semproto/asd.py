@@ -75,7 +75,8 @@ class Vocabulary:
 # ----------------------------------------------------------------------------
 
 def entity_from_ids(ids: Iterable[int]) -> int:
-    """Pack attribute ids into an entity bitmask."""
+    """Pack non-negative ids into a bitmask with bit ``i`` set for each id
+    ``i``: an entity's attribute ids, or a bitset of sample positions."""
     mask = 0
     for attr_id in ids:
         if attr_id < 0:

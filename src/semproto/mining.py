@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 # ``similarity`` is the scalar specification that SimilarityRanker's scores
 # equal bit for bit; it stays importable here as ``mining.similarity``.
-from .asd import ASD, entity_ids, merge, similarity, subsumes  # noqa: F401
+from .asd import ASD, entity_from_ids, entity_ids, merge, similarity, subsumes  # noqa: F401
 from .errors import InseparableDataError
 
 if TYPE_CHECKING:
@@ -97,19 +97,19 @@ class NegativeAttributeIndex:
             for e in sample.asd.entities:
                 holding.setdefault(e, []).append(pos)
         self._labelled = labelled
-        self._holders = [_bitset(positions) for positions in holding.values()]
+        self._holders = [entity_from_ids(positions) for positions in holding.values()]
         self._all_entities = (1 << len(holding)) - 1
         containing: dict[int, list[int]] = {}
         for k, e in enumerate(holding):
             for a in entity_ids(e):
                 containing.setdefault(a, []).append(k)
-        self._attr_entities = {a: _bitset(ks) for a, ks in containing.items()}
+        self._attr_entities = {a: entity_from_ids(ks) for a, ks in containing.items()}
         self._memo: dict[int, int] = {}
 
     def for_class(self, label: str) -> "NegativeAttributeIndex":
         """A view whose negatives are the samples not labelled ``label``."""
         view = copy.copy(self)
-        view.negatives = self._all & ~_bitset(self._labelled.get(label, ()))
+        view.negatives = self._all & ~entity_from_ids(self._labelled.get(label, ()))
         return view
 
     def members(self, label: str) -> set[str]:
@@ -149,26 +149,13 @@ class NegativeAttributeIndex:
         return self._ids[(bits & -bits).bit_length() - 1] if bits else None
 
 
-def _bitset(positions: Iterable[int]) -> int:
-    bits = 0
-    for pos in positions:
-        bits |= 1 << pos
-    return bits
-
-
 def check_ccd(candidate: ASD, negatives: Sequence[Sample]) -> bool:
     """True iff the candidate describes no negative sample, by a naive scan.
 
     A candidate holding only the empty entity describes everything, so it
-    passes only when there are no negatives at all.  A negative whose
-    attribute union lacks an attribute of the candidate's is skipped
-    unscanned: if the candidate describes a negative, each of its entities
-    lies inside some entity of the negative, so its union lies inside the
-    negative's.
+    passes only when there are no negatives at all.
     """
-    union = candidate.attribute_union
-    return not any(union & n.asd.attribute_union == union and subsumes(candidate, n.asd)
-                   for n in negatives)
+    return not any(subsumes(candidate, n.asd) for n in negatives)
 
 
 # ----------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .asd import ASD, entity_ids, subsumes
+from .asd import ASD, entity_from_ids, entity_ids, subsumes
 from .data import Dataset
 from .errors import ConfigError, DatasetValidationError, Diagnostic
 from .mining import (ClassClusterDescription, NegativeAttributeIndex, Sample, SelectionStep,
@@ -45,8 +45,8 @@ class _UnionFilter:
     each of its entities then lies inside some entity of the sample.
 
     Built once over a dataset's samples: for each attribute id, a bitset of
-    the sample positions whose ``attribute_union`` holds it, and for each
-    label, a bitset of its samples.  It shares nothing with
+    the sample positions whose ``attribute_union`` holds it.  It knows no
+    labels and shares only ``asd`` primitives with
     ``NegativeAttributeIndex``, so the soundness re-check does not rest on
     the index it re-checks.
     """
@@ -55,38 +55,19 @@ class _UnionFilter:
         self._samples = samples
         self._all = (1 << len(samples)) - 1
         holders: dict[int, list[int]] = {}
-        labelled: dict[str, list[int]] = {}
         for pos, sample in enumerate(samples):
-            labelled.setdefault(sample.label, []).append(pos)
             for a in entity_ids(sample.asd.attribute_union):
                 holders.setdefault(a, []).append(pos)
-        self._holders = {a: _positions_bitset(ps, len(samples)) for a, ps in holders.items()}
-        self._labelled = {label: _positions_bitset(ps, len(samples))
-                          for label, ps in labelled.items()}
+        self._holders = {a: entity_from_ids(ps) for a, ps in holders.items()}
 
-    def outside(self, label: str) -> int:
-        """Bitset of the samples not labelled ``label``."""
-        return self._all & ~self._labelled.get(label, 0)
-
-    def containing(self, description: ASD, mask: int) -> list[Sample]:
-        """The samples flagged in ``mask`` whose attribute union contains the
+    def containing(self, description: ASD) -> list[Sample]:
+        """The samples, of any label, whose attribute union contains the
         description's, in position order; the empty union keeps them all."""
+        mask = self._all
         for a in entity_ids(description.attribute_union):
             mask &= self._holders.get(a, 0)
-            if not mask:
-                return []
-        # bin() ends in the lowest bit and starts with "0b"
         samples = self._samples
-        return [samples[p] for p, bit in enumerate(reversed(bin(mask))) if bit == "1"]
-
-
-def _positions_bitset(positions: list[int], size: int) -> int:
-    """The integer whose bit ``p`` is set for each given position below
-    ``size``."""
-    flags = bytearray((size + 7) // 8)
-    for p in positions:
-        flags[p >> 3] |= 1 << (p & 7)
-    return int.from_bytes(flags, "little")
+        return [samples[p] for p in entity_ids(mask)]
 
 
 def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
@@ -100,10 +81,12 @@ def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
     Classes are mined one after another in this process, all against one
     ``NegativeAttributeIndex`` over the dataset.  Each mined candidate is
     then re-checked by a naive ``check_ccd`` scan that does not use the
-    index.  That scan gets only the class's negatives whose attribute union
-    contains the candidate's (``_UnionFilter``, also built once over the
-    dataset), which leaves out only negatives it could not describe, so the
-    verdict is the full scan's.  With ``ground_truth``, each class's top
+    index.  ``_UnionFilter``, also built once over the dataset, gives the
+    samples whose attribute union contains the candidate's; those of the
+    candidate's class, read off each sample's label, are dropped, and the
+    scan gets the rest.  It leaves out only negatives the candidate could
+    not describe, so the verdict is the full scan's; a candidate that fails
+    it is a ``RuntimeError``.  With ``ground_truth``, each class's top
     rule is compared for mutual subsumption against the known rule; a label
     that names no class of the dataset is a ``ConfigError``.
     """
@@ -132,10 +115,9 @@ def run_pipeline(dataset: Dataset, *, class_filter: str | None = None,
         candidates = mine_ccds(positives, index)
         # Independent soundness re-check: a naive scan of the negatives
         # whose attribute union contains the candidate's.
-        negatives = unions.outside(label)
         for candidate in candidates:
-            if not check_ccd(candidate.asd,
-                             unions.containing(candidate.asd, negatives)):  # pragma: no cover
+            negatives = [s for s in unions.containing(candidate.asd) if s.label != label]
+            if not check_ccd(candidate.asd, negatives):
                 raise RuntimeError("mined candidate failed the naive soundness scan")
         steps, uncovered = select_ccds(candidates, positives, k=max_prototypes)
         if uncovered and max_prototypes is None:

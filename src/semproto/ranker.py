@@ -121,11 +121,14 @@ class SimilarityRanker:
 
     def _clear(self) -> None:
         """Empty the memo down to its padding row: 0.0 in the table and the
-        best matches, True in the containment row."""
+        best matches, True in the containment row.  Room is made for a row
+        per interned entity, within the cap, since the first round scores
+        every positive and so remembers them all."""
         self._row.clear()
-        self._table = np.zeros((1, len(self._entities) + 1))
-        self._best = np.zeros((1, len(self.asds)))
-        self._inside = np.ones((1, len(self.asds)), dtype=bool)
+        rows = max(1, min(len(self._entities) + 1, _MEMO_CAP // self._row_values))
+        self._table = np.zeros((rows, len(self._entities) + 1))
+        self._best = np.zeros((rows, len(self.asds)))
+        self._inside = np.ones((rows, len(self.asds)), dtype=bool)
 
     def _pack(self, entities: Sequence[int]) -> np.ndarray:
         """Entities as rows of little-endian ``uint64`` words."""
@@ -161,6 +164,8 @@ class SimilarityRanker:
         """``similarity(references[b], p)`` at [b, p] of the first array, and
         ``subsumes(references[b], p)`` at [b, p] of the second, positives in
         input order."""
+        if not references:
+            return np.zeros((0, len(self.asds))), np.zeros((0, len(self.asds)), dtype=bool)
         for reference in references:
             if not reference.entities:
                 raise ValueError("similarity is undefined for an empty description")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from semproto import (
     ASD,
     ConfigError,
+    Dataset,
     GeneratorConfig,
     InseparableDataError,
     NegativeAttributeIndex,
@@ -26,8 +27,10 @@ from semproto import (
     select_ccds,
     similarity,
     subsumes,
+    write_dataset,
 )
 from semproto import mining, oracle, ranker as ranker_module
+from semproto.cli import EXIT_INTERNAL, main
 from semproto.pipeline import _UnionFilter
 from semproto.ranker import SimilarityRanker
 from semproto.oracle import scalar_mine
@@ -371,6 +374,31 @@ def test_jaccard_table_equals_scalar_jaccard_bit_for_bit(case):
         assert not ranker._table[0].any() and not ranker._best[0].any()
         assert ranker._inside[0].all()
         ranker.scores(references)
+
+
+def test_ranker_scores_no_references():
+    ranker = SimilarityRanker([ASD.from_id_sets([[0, 1]]), ASD.from_id_sets([[2]])])
+    rows, described = ranker.scores([])
+    assert rows.shape == described.shape == (0, 2)
+    assert rows.dtype == np.float64 and described.dtype == bool
+
+
+def test_memo_first_allocation_holds_every_interned_entity():
+    """Round one scores every positive, so the memo is sized for all the
+    interned entities up front and scoring them all does not grow it; under
+    a smaller cap it starts at the cap, and never below one row."""
+    positives = [ASD.from_id_sets([[0, 1], [2]]), ASD.from_id_sets([[2], [3, 4]]),
+                 ASD.from_id_sets([[5]])]
+    ranker = SimilarityRanker(positives)
+    assert len(ranker._table) == len(ranker._best) == len(ranker._inside) == 5
+    table = ranker._table
+    ranker.scores(positives)
+    assert ranker._table is table and len(ranker._row) == 4
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranker_module, "_MEMO_CAP", 3 * ranker._row_values)
+        assert len(SimilarityRanker(positives)._table) == 3
+        patch.setattr(ranker_module, "_MEMO_CAP", 1)
+        assert len(SimilarityRanker(positives)._table) == 1
 
 
 def test_ranker_rejects_empty_and_foreign_descriptions():
@@ -794,23 +822,13 @@ def naive_scan_inputs(draw):
 
 @given(naive_scan_inputs())
 @settings(max_examples=300)
-def test_check_ccd_matches_a_plain_subsumption_scan(case):
-    """The attribute-union skip in check_ccd changes no verdict."""
-    candidates, negatives = case
-    for candidate in candidates:
-        assert check_ccd(candidate, negatives) == (
-            not any(subsumes(candidate, n.asd) for n in negatives))
-
-
-@given(naive_scan_inputs())
-@settings(max_examples=300)
 def test_union_prefilter_keeps_every_described_negative(case):
-    """run_pipeline's soundness re-check scans only the negatives whose
-    attribute union contains the candidate's.  Those are exactly the
-    samples of other labels that pass that test, they include every
-    negative the candidate describes, and check_ccd over them gives the
-    plain subsumes scan's verdict.  The empty union keeps every negative;
-    a class with no negatives scans none."""
+    """run_pipeline's soundness re-check takes the samples whose attribute
+    union contains the candidate's, of any label and in position order, and
+    drops those of the candidate's class.  What is left holds every
+    negative the candidate describes, and check_ccd over it gives the plain
+    subsumes scan's verdict.  The empty union keeps every sample; a class
+    with no negatives scans none."""
     candidates, negatives = case
     positives = [Sample(f"p{i}", "pos", c) for i, c in enumerate(candidates[2:])]
     samples = [s for pair in zip(negatives, positives) for s in pair]
@@ -819,17 +837,36 @@ def test_union_prefilter_keeps_every_described_negative(case):
     lone = _UnionFilter(negatives)
     for candidate in candidates:
         union = candidate.attribute_union
-        scan = unions.containing(candidate, unions.outside("pos"))
-        assert scan == [s for s in samples if s.label != "pos"
-                        and union & s.asd.attribute_union == union]
+        survivors = unions.containing(candidate)
+        assert survivors == [s for s in samples if union & s.asd.attribute_union == union]
+        scan = [s for s in survivors if s.label != "pos"]
         described = [n for n in negatives if subsumes(candidate, n.asd)]
         assert all(n in scan for n in described)
         assert check_ccd(candidate, scan) == (not described)
         if not union:
-            assert scan == [s for s in samples if s.label != "pos"]
-        assert unions.containing(candidate, unions.outside("missing")) == [
-            s for s in samples if union & s.asd.attribute_union == union]
-        assert lone.containing(candidate, lone.outside("neg")) == []
+            assert survivors == samples
+        assert [s for s in lone.containing(candidate) if s.label != "neg"] == []
+
+
+def test_soundness_recheck_catches_a_broken_index(tmp_path, monkeypatch, capsys):
+    """With the index broken to accept every merge, mining accepts the
+    merge [["A"]] of p1 and p2, which describes n1.  run_pipeline's naive
+    re-check raises, and `semproto run` exits 3 and writes no report."""
+    monkeypatch.setattr(NegativeAttributeIndex, "first_described",
+                        lambda self, candidate: None)
+    v = Vocabulary()
+    samples = (mk_samples(v, "pos", [("p1", [["A", "B"]]), ("p2", [["A", "C"]])])
+               + mk_samples(v, "neg", [("n1", [["A", "D"]])]))
+    dataset = Dataset(v, tuple(samples))
+    with pytest.raises(RuntimeError,
+                       match="^mined candidate failed the naive soundness scan$"):
+        run_pipeline(dataset)
+    data = tmp_path / "data.jsonl"
+    write_dataset(dataset, data)
+    out = tmp_path / "report.json"
+    assert main(["run", "--dataset", str(data), "--output", str(out)]) == EXIT_INTERNAL
+    assert "mined candidate failed the naive soundness scan" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [data]
 
 
 @given(st.integers(0, 500))
