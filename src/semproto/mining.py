@@ -73,9 +73,11 @@ class NegativeAttributeIndex:
     attribute ``a``.  An entity contains ``g`` exactly when it contains every
     attribute of ``g``, so the samples holding a superset of ``g`` are the
     holders of the entities in the AND of ``_attr_entities`` over ``g``'s
-    attributes; that bitset is memoized per ``g``.  The samples a description
-    describes are the AND of those bitsets over its entities, with no
-    subsumption scan, and the results always equal the naive linear scan.
+    attributes; that bitset is memoized per ``g``.  The negatives a
+    description describes are the AND of those bitsets over its entities and
+    the negatives, with no subsumption scan; ``first_described`` stops as
+    soon as that AND is empty, and its results always equal the naive
+    linear scan.
 
     Checks consider only the samples flagged in ``negatives`` (at first,
     every sample).  ``for_class`` returns a view masked to one class's
@@ -126,26 +128,20 @@ class NegativeAttributeIndex:
                 break
         holders = self._holders
         bits = 0
-        while entities:
-            low = entities & -entities
-            entities ^= low
-            bits |= holders[low.bit_length() - 1]
+        for k in entity_ids(entities):
+            bits |= holders[k]
         self._memo[g] = bits
         return bits
 
-    def described(self, candidate: ASD, mask: int) -> int:
-        """Bitset of the samples in ``mask`` that the candidate describes."""
-        memo = self._memo
-        for g in candidate.entities:
-            bits = memo.get(g)
-            mask &= bits if bits is not None else self._holding(g)
-            if not mask:
-                break
-        return mask
-
     def first_described(self, candidate: ASD) -> str | None:
         """Id of the first negative the candidate describes, or None."""
-        bits = self.described(candidate, self.negatives)
+        memo = self._memo
+        bits = self.negatives
+        for g in candidate.entities:
+            held = memo.get(g)
+            bits &= held if held is not None else self._holding(g)
+            if not bits:
+                return None
         return self._ids[(bits & -bits).bit_length() - 1] if bits else None
 
 
@@ -181,11 +177,13 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
     description.  One whose merge with some earlier description was rejected
     is rejected again: its merge with D subsumes the rejected merge, so it
     describes the same negative.  So the step from D depends on D alone,
-    whichever trace reached it, and each distinct D is expanded once
-    (``expanded``).  A seed that is not an antichain takes one step of its
-    own: it keeps its described positives (the first it visits trims it,
-    because ``merge(D, p) == D.trimmed`` whenever D subsumes p) and
-    excludes only itself.
+    whichever trace reached it, and each distinct D is expanded once:
+    ``expanded`` holds every description of this round's frontier and the
+    earlier ones, and a merge found there is not queued again.  A seed that
+    is not an antichain takes one step of its own: it keeps its described
+    positives (the first it visits trims it, because
+    ``merge(D, p) == D.trimmed`` whenever D subsumes p) and excludes only
+    itself.
 
     Twins, seeds of one description D, share one frontier entry, which
     excludes only the last of them, and any twin's trace stands for all.  If
@@ -222,6 +220,7 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
         remaining[seed] = False
         frontier[ranker.asds[seed]] = remaining
     while frontier:
+        expanded.update(frontier)
         reached: dict[ASD, np.ndarray] = {}
         for batch in ranker.batches(list(frontier)):
             scores, described = ranker.scores(batch)
@@ -231,7 +230,6 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
             firsts = _firsts(scores, np.stack([frontier[d] for d in batch]))
             for description, row, covers, first in zip(batch, scores, described, firsts):
                 remaining = frontier[description]
-                expanded.add(description)
                 for position in _visits(row, remaining, first):
                     # No positive left to visit is described by the
                     # description, or it is not an antichain, so every
@@ -240,7 +238,7 @@ def _trace(seeds: Sequence[int], index: NegativeAttributeIndex,
                     if index.first_described(generalized) is None:
                         if generalized in reached:
                             reached[generalized] &= remaining
-                        elif generalized not in expanded and generalized not in frontier:
+                        elif generalized not in expanded:
                             reached[generalized] = remaining
                         break
                 else:   # no sound merge: the description is final
@@ -322,27 +320,20 @@ def greedy_cover(coverages: Sequence[frozenset[str]], k: int | None = None,
 
     Picks the set with the largest marginal gain until k picks are made
     (k None: until nothing new can be covered).  Ties break by tie_keys then
-    by position, so the order is deterministic.  The greedy value is within a
-    factor (1 - 1/e) of the optimal coverage for any k.
+    by position, so the order is deterministic.  Each pick is one ``min``
+    over every set: a set already picked gains nothing, so it can win only
+    when no set gains, and that ends the picking.  The greedy value is
+    within a factor (1 - 1/e) of the optimal coverage for any k.
     """
-    n = len(coverages)
-    keys = tie_keys if tie_keys is not None else [()] * n
+    keys = tie_keys if tie_keys is not None else [()] * len(coverages)
     covered: set[str] = set()
     picks: list[int] = []
-    available = set(range(n))
-    while available and (k is None or len(picks) < k):
-        best = None
-        best_rank = None
-        for i in available:
-            gain = len(coverages[i] - covered)
-            rank = (-gain, keys[i], i)
-            if best_rank is None or rank < best_rank:
-                best, best_rank = i, rank
-        assert best is not None
-        if len(coverages[best] - covered) == 0:
+    while coverages and (k is None or len(picks) < k):
+        neg_gain, _, best = min((-len(c - covered), keys[i], i)
+                                for i, c in enumerate(coverages))
+        if not neg_gain:
             break
         picks.append(best)
-        available.remove(best)
         covered |= coverages[best]
     return picks
 

@@ -1,5 +1,10 @@
 """Shared strategies and helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
@@ -88,3 +93,19 @@ def assert_schema_1(report: dict) -> None:
                 walk(item, spec[0])
 
     walk(report, REPORT_FIELDS)
+
+
+def run_fresh(code: str, **env: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    ``semproto``, and return its stdout once it has exited 0.  The child
+    inherits the environment less ``OPENBLAS_NUM_THREADS``, with ``env``
+    set over it."""
+    import semproto
+    src = str(Path(semproto.__file__).resolve().parent.parent)
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = {**inherited, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

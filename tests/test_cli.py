@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import assert_schema_1
+from conftest import assert_schema_1, run_fresh
 from semproto import report as report_module
 from semproto.cli import EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, main
 from semproto.report import REPORT_FIELDS, check_report
@@ -990,22 +990,9 @@ def _loaded_after(code, **env):
     """The modules of ``UNLOADED`` in ``sys.modules`` after a fresh
     interpreter runs ``code``.  ``OPENBLAS_NUM_THREADS`` is unset there
     unless ``env`` sets it."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import semproto
-    src = str(Path(semproto.__file__).resolve().parent.parent)
-    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env = {**inherited, **env,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     # A package's submodules are never loaded without the package.
     code += f"\nimport sys; print([u for u in {UNLOADED!r} if u in sys.modules])"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1]
+    return run_fresh(code, **env).splitlines()[-1]
 
 
 @pytest.mark.parametrize("module", ["semproto", "semproto.cli", "semproto.mining"])

@@ -999,6 +999,60 @@ def test_greedy_cover_k_zero_and_ties():
     assert greedy_cover(cov, k=1, tie_keys=[(0,), (0,)]) == [0]
 
 
+def reference_greedy_cover(coverages, k=None, tie_keys=None):
+    """The greedy pick order, written out: among the sets not yet picked,
+    the largest gain, then the smallest tie key, then the smallest index;
+    stop at gain 0 or after k picks.  Returns the picks and their gains."""
+    keys = tie_keys if tie_keys is not None else [()] * len(coverages)
+    covered, picks, gains = set(), [], []
+    unpicked = list(range(len(coverages)))
+    while unpicked and (k is None or len(picks) < k):
+        best = unpicked[0]
+        for i in unpicked[1:]:
+            gain, best_gain = len(coverages[i] - covered), len(coverages[best] - covered)
+            if gain > best_gain or (gain == best_gain and keys[i] < keys[best]):
+                best = i
+        gain = len(coverages[best] - covered)
+        if gain == 0:
+            break
+        picks.append(best)
+        gains.append(gain)
+        unpicked.remove(best)
+        covered |= coverages[best]
+    return picks, gains
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_greedy_cover_matches_reference_on_drawn_ties(data):
+    """Few ids and few distinct tie keys, so equal gains and equal keys are
+    common, and the pick order must still be the reference's."""
+    ids = "abcdef"[:data.draw(st.integers(1, 6))]
+    coverages = data.draw(st.lists(st.frozensets(st.sampled_from(ids)), max_size=8))
+    n = len(coverages)
+    tie_keys = data.draw(st.none() | st.lists(
+        st.lists(st.integers(0, 1), max_size=2).map(tuple), min_size=n, max_size=n))
+    k = data.draw(st.none() | st.integers(0, n + 1))
+    picks, _ = reference_greedy_cover(coverages, k, tie_keys)
+    assert greedy_cover(coverages, k, tie_keys) == picks
+
+    # select_ccds ties by (total attributes, sort key); three descriptions,
+    # two of one size, make those keys collide too
+    pool = [ASD.from_id_sets([[0]]), ASD.from_id_sets([[1]]), ASD.from_id_sets([[0, 1]])]
+    chosen = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    candidates = [mining.ClassClusterDescription(asd, "pos", cov)
+                  for asd, cov in zip(chosen, coverages)]
+    positives = [Sample(i, "pos", ASD.from_id_sets([[0]])) for i in ids]
+    picks, gains = reference_greedy_cover(
+        coverages, k, [(a.total_attributes, a.sort_key) for a in chosen])
+    steps, uncovered = select_ccds(candidates, positives, k)
+    assert [s.ccd for s in steps] == [candidates[i] for i in picks]
+    assert [s.newly_covered for s in steps] == gains
+    assert [s.cumulative_covered for s in steps] == \
+        [sum(gains[:j + 1]) for j in range(len(gains))]
+    assert uncovered == sorted(set(ids).difference(*(coverages[i] for i in picks)))
+
+
 def test_select_ccds_single_covering_candidate():
     from semproto import ClassClusterDescription
     v = Vocabulary()
