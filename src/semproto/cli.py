@@ -3,8 +3,8 @@
 Subcommands: run (mine rules and prototypes, write a report), explain (render
 one prototype's explanation from a report), validate (check a dataset file),
 generate (synthesize the three-class scene dataset), convert (attribute matrix
-to dataset).  Exit codes: 0 success, 2 validation or usage error, 3 internal
-error.
+to dataset), selftest (the oracle cross-check batteries).  Exit codes: 0
+success, 2 validation or usage error, 3 internal error.
 """
 from __future__ import annotations
 
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {_version()}")
     sub = parser.add_subparsers(
         dest="command", required=True,
-        metavar="{run,explain,validate,generate,convert}")
+        metavar="{run,explain,validate,generate,convert,selftest}")
 
     p_run = sub.add_parser("run", help="mine rules and prototypes, write a report")
     p_run.add_argument("--dataset", required=True, help="dataset file (JSON lines)")
@@ -269,9 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_convert.add_argument("--output", required=True, help="dataset path")
     p_convert.set_defaults(func=cmd_convert)
 
-    # Undocumented: the oracle cross-check batteries of selftest.py, which the
-    # oracle tests in tests/ also run.
-    p_selftest = sub.add_parser("selftest")
+    p_selftest = sub.add_parser("selftest", help="run the oracle cross-check batteries")
     p_selftest.add_argument("--budget", type=int, default=1000,
                             help="cases per property battery (at least 1)")
     p_selftest.add_argument("--seed", type=int, default=0)

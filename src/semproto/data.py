@@ -384,7 +384,8 @@ def convert_attribute_matrix(path: str | Path, grouping: str = "whole",
     comma) and is skipped as a header when its value column is not a number.
     Samples whose attributes all fall below the threshold are an error, not
     silently dropped, and so are values and a threshold that are not finite
-    (nan or infinite).
+    (nan or infinite).  A conflicting label is reported at its line.  Lines
+    are grouped as they are read: no per-row copy of the matrix is kept.
     """
     if grouping not in GROUPINGS:
         raise ConfigError(f"unknown grouping {grouping!r}; expected one of {GROUPINGS}")
@@ -392,7 +393,8 @@ def convert_attribute_matrix(path: str | Path, grouping: str = "whole",
         raise ConfigError(f"threshold must be a finite number, got {threshold}")
     path = Path(path)
     diagnostics: list[Diagnostic] = []
-    rows: list[tuple[str, str, float, str | None]] = []
+    kept: dict[str, list[str]] = {}  # in first-appearance order
+    labels: dict[str, str] = {}
     lines = _read_lines(path, "matrix")
     first = next((n for n, line in enumerate(lines, start=1) if line.strip()), None)
     delimiter = "\t" if first is not None and "\t" in lines[first - 1] else ","
@@ -421,22 +423,17 @@ def convert_attribute_matrix(path: str | Path, grouping: str = "whole",
             diagnostics.append(Diagnostic("empty sample id or attribute name",
                                           line=line_no))
             continue
-        label = parts[3] if len(parts) == 4 else None
-        rows.append((parts[0], parts[1], value, label))
-
-    kept: dict[str, list[str]] = {}  # in first-appearance order
-    labels: dict[str, str] = {}
-    for sample_id, attr, value, label in rows:
+        sample_id = parts[0]
         attrs = kept.setdefault(sample_id, [])
-        if label is not None:
-            previous = labels.get(sample_id)
-            if previous is not None and previous != label:
+        if len(parts) == 4:
+            previous = labels.setdefault(sample_id, parts[3])
+            if previous != parts[3]:
                 diagnostics.append(Diagnostic(
-                    f"conflicting labels {previous!r} and {label!r}",
-                    sample_id=sample_id))
-            labels[sample_id] = label
+                    f"conflicting labels {previous!r} and {parts[3]!r}",
+                    line=line_no, sample_id=sample_id))
+                labels[sample_id] = parts[3]
         if value >= threshold:
-            attrs.append(attr)
+            attrs.append(parts[1])
 
     builder = _SampleBuilder()
     for sample_id, attrs in kept.items():

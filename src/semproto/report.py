@@ -132,8 +132,10 @@ def build_report(result: PipelineResult, dataset: Dataset, *, version: str,
 def _class_block(c: ClassResult, dataset: Dataset) -> dict:
     vocab = dataset.vocabulary
     ccds = []
+    rule_names = []  # per selected rule, as its prototype's block shows it too
     for step in c.selection:
         names = step.ccd.asd.to_name_lists(vocab)
+        rule_names.append(names)
         ccds.append({
             "asd": names,
             "ruleText": rule_text(names, c.label),
@@ -149,16 +151,15 @@ def _class_block(c: ClassResult, dataset: Dataset) -> dict:
         "ccds": ccds,
         "uncovered": list(c.uncovered),
         "ruleRecovered": c.rule_recovered,
-        "prototypes": [_prototype_block(p, i, dataset)
+        "prototypes": [_prototype_block(p, i, rule_names[i], dataset)
                        for i, p in enumerate(c.prototypes)],
     }
 
 
-def _prototype_block(p: PrototypeRecord, ccd_index: int, dataset: Dataset) -> dict:
-    vocab = dataset.vocabulary
-    rule_names = p.ccd.asd.to_name_lists(vocab)
+def _prototype_block(p: PrototypeRecord, ccd_index: int, rule_names: list[list[str]],
+                     dataset: Dataset) -> dict:
     # The sample's own description goes in too, so the report stands alone.
-    names = dataset.by_id[p.sample_id].asd.to_name_lists(vocab)
+    names = dataset.by_id[p.sample_id].asd.to_name_lists(dataset.vocabulary)
     return {
         "sampleId": p.sample_id,
         "ccdIndex": ccd_index,
@@ -324,12 +325,13 @@ def _markdown_blocks(report: dict) -> Iterator[str]:
         if not block["ccds"]:
             lines.append("_No rules selected._")
             lines.append("")
+        protos = {p["ccdIndex"]: p for p in reversed(block["prototypes"])}  # first wins
         for i, ccd in enumerate(block["ccds"]):
             lines.append(f"### Rule {i + 1}: {ccd['ruleText']}")
             lines.append(f"- coverage: {ccd['coverageCount']}/{block['positives']} "
                          f"samples ({100.0 * ccd['coverageFraction']:.1f}%), "
                          f"{ccd['newlyCovered']} newly covered")
-            proto = next((p for p in block["prototypes"] if p["ccdIndex"] == i), None)
+            proto = protos.get(i)
             if proto is not None:
                 lines.append(f"- prototype: `{proto['sampleId']}` "
                              f"({proto['metric']} distance {proto['distance']})")

@@ -77,17 +77,17 @@ def battery_merge_canonical(cases: int, seed: int) -> Battery:
 
 
 def battery_similarity(cases: int, seed: int) -> Battery:
-    """Symmetry, range, and identity of the similarity score."""
+    """Exact symmetry, range, and exact identity of the similarity score."""
     failures = 0
     left = list(random_asds(seed, cases))
     right = list(random_asds(seed + 1, cases))
     for a, b in zip(left, right):
         s_ab = similarity(a, b)
         s_ba = similarity(b, a)
-        if abs(s_ab - s_ba) > 1e-12 or not (0.0 <= s_ab <= 1.0):
+        if s_ab != s_ba or not (0.0 <= s_ab <= 1.0):
             failures += 1
             continue
-        if abs(similarity(a, a) - 1.0) > 1e-12:
+        if similarity(a, a) != 1.0:
             failures += 1
     return ("similarity-props", cases, failures)
 

@@ -190,15 +190,17 @@ def test_criterion_6_greedy_coverage_bound():
 
 
 def test_criterion_7_similarity_properties():
-    """Symmetry, range, and identity over 10,000 random description pairs."""
+    """Symmetry, range, and identity over 10,000 random description pairs.
+    Both the symmetry and the identity are exact: ``0.5*x + 0.5*y`` is
+    commutative in IEEE arithmetic, and identical descriptions score 1.0."""
     stream = random_asds(1007, 20_000)
     for _ in range(10_000):
         a = next(stream)
         b = next(stream)
         forward = similarity(a, b)
-        assert abs(forward - similarity(b, a)) <= 1e-12
+        assert forward == similarity(b, a)
         assert 0.0 <= forward <= 1.0
-        assert abs(similarity(a, a) - 1.0) <= 1e-12
+        assert similarity(a, a) == 1.0
     print("criterion 7 PASS: 10000 pairs symmetric, bounded, identity-exact")
 
 

@@ -187,13 +187,13 @@ def test_similarity_rejects_empty_asd():
 @given(nonempty_asds, nonempty_asds)
 def test_similarity_symmetric_and_bounded(a, b):
     s = similarity(a, b)
-    assert abs(s - similarity(b, a)) <= 1e-12
+    assert s == similarity(b, a)
     assert 0.0 <= s <= 1.0
 
 
 @given(nonempty_asds)
 def test_similarity_identity_is_one(asd):
-    assert abs(similarity(asd, asd) - 1.0) <= 1e-12
+    assert similarity(asd, asd) == 1.0
 
 
 @given(nonempty_asds, nonempty_asds)

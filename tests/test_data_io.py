@@ -1,6 +1,8 @@
 """Dataset loading and validation, scene generation, matrix conversion."""
 
 import hashlib
+import random
+import tracemalloc
 
 import pytest
 
@@ -354,10 +356,74 @@ def test_convert_refuses_an_empty_label(tmp_path, rows, sample):
 
 
 def test_convert_conflicting_labels(tmp_path):
-    path = write_matrix(tmp_path, "s1,a,1.0,pos\ns1,b,1.0,neg\n")
+    """Each line whose label differs from the last one seen for its id is
+    reported at that line, and that label is the one compared next; the
+    diagnostics of one matrix come out in line order."""
+    path = write_matrix(tmp_path, "\n".join([
+        "s1,a,1.0,pos",
+        "s1,b,1.0,neg",
+        "just-one-column",
+        "s1,c,1.0,neg",
+        "s1,d,1.0,pos",
+    ]))
     with pytest.raises(DatasetValidationError) as err:
         convert_attribute_matrix(path)
-    assert any("conflicting labels" in d.message for d in err.value.diagnostics)
+    assert [(d.line, d.sample_id, d.message) for d in err.value.diagnostics] == [
+        (2, "s1", "conflicting labels 'pos' and 'neg'"),
+        (3, None, "expected 3 or 4 comma-separated columns, got 1"),
+        (5, "s1", "conflicting labels 'neg' and 'pos'"),
+    ]
+
+
+def test_convert_interleaved_crlf_lines_keep_first_appearance_order(tmp_path):
+    """Lines of several samples may interleave: samples come out in the order
+    their ids first appear and each sample's attributes in line order, so the
+    vocabulary interns names sample by sample.  CR LF line ends read as LF,
+    and a value below the threshold drops only its attribute."""
+    path = tmp_path / "matrix.csv"
+    path.write_bytes(b"sample,attribute,value,label\r\n"
+                     b"s2,leg::long,1.0,wader\r\n"
+                     b"s1,bill::hooked,0.9,raptor\r\n"
+                     b"s2,bill::long,0.8,wader\r\n"
+                     b"s3,leg::short,1.0,raptor\r\n"
+                     b"s1,leg::short,0.7,raptor\r\n"
+                     b"s1,leg::feathered,0.7,raptor\r\n"
+                     b"s3,bill::hooked,0.6,raptor\r\n"
+                     b"s2,bill::hooked,0.1,wader\r\n")
+    dataset = convert_attribute_matrix(path, grouping="part-prefix", threshold=0.5)
+    out = tmp_path / "dataset.jsonl"
+    write_dataset(dataset, out)
+    assert dataset.vocabulary.names == ["bill::long", "leg::long", "bill::hooked",
+                                        "leg::short", "leg::feathered"]
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        '{"id": "s2", "label": "wader", "asd": [["bill::long"], ["leg::long"]]}',
+        '{"id": "s1", "label": "raptor", "asd": '
+        '[["bill::hooked"], ["leg::short", "leg::feathered"]]}',
+        '{"id": "s3", "label": "raptor", "asd": [["bill::hooked"], ["leg::short"]]}',
+    ]
+
+
+def test_convert_keeps_no_per_line_copy_of_the_matrix(tmp_path):
+    """Converting a matrix of over 30,000 lines allocates at its peak less
+    than 6.5 times the matrix's size in bytes.  Holding every parsed line as
+    a tuple until a second pass took about 9 times; one pass takes about 4."""
+    rng = random.Random(5)
+    attributes = [f"part{p:02d}::value_{v:02d}" for p in range(15) for v in range(20)]
+    lines = ["sample_id,attribute,certainty,label"]
+    for i in range(600):
+        label = f"class{i % 40:02d}"
+        for attr in rng.sample(attributes, 55):
+            lines.append(f"{label}-{i:04d},{attr},{rng.random():.3f},{label}")
+    path = write_matrix(tmp_path, "\n".join(lines) + "\n")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        dataset = convert_attribute_matrix(path, grouping="part-prefix", threshold=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lines) > 30_000 and len(dataset) == 600
+    assert peak < 6.5 * size
 
 
 def test_convert_bad_rows(tmp_path):
