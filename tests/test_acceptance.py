@@ -8,7 +8,6 @@ the stand-in.
 """
 
 import json
-import math
 import random
 import time
 
@@ -19,21 +18,17 @@ from semproto import (
     ASD,
     GeneratorConfig,
     OracleBudget,
-    Vocabulary,
-    edit_distance,
     equivalent,
     generate_clevr_hans3,
-    greedy_cover,
-    merge,
-    oracle_coverage_opt,
     oracle_edit_distance,
     random_asds,
     run_pipeline,
-    similarity,
     subsumes,
     subsuming_pairs,
 )
 from semproto.cli import main
+from semproto.selftest import (common_generalization, edit_matches_oracle, greedy_meets_bound,
+                               merge_generalizes, merge_is_most_specific, similarity_props)
 
 GENERATOR_SEED = 7
 SAMPLES_PER_CLASS = 200
@@ -105,47 +100,20 @@ def test_criterion_2_prototype_minimality(clevr):
 def test_criterion_3_edit_distance_oracle_equivalence(mode):
     """Solver breakdown (total, matched pairs, unmatched sample entities)
     equals the exhaustive oracle's on 1,000 generated pairs."""
-    budget = OracleBudget()
-    mismatches = 0
-    for rule, sample in subsuming_pairs(1003, 1000, max_general=4, max_specific=6):
-        got = edit_distance(rule, sample, unmatched_cost=mode)
-        want = oracle_edit_distance(rule, sample, unmatched_cost=mode, budget=budget)
-        if got != want:
-            mismatches += 1
-    assert mismatches == 0
+    pairs = subsuming_pairs(1003, 1000, max_general=4, max_specific=6)
+    assert sum(not edit_matches_oracle(rule, sample, mode) for rule, sample in pairs) == 0
     print(f"criterion 3 PASS ({mode}): 1000/1000 pairs match the oracle")
 
 
 def test_criterion_4_merge_most_specific_generalization():
     """10,000 pairs: merge subsumes both and is an antichain; 10,000 triples:
-    any common generalization subsumes the merge."""
+    any common generalization, built without merge, subsumes the merge."""
     stream = random_asds(1004, 20_000)
-    pair_failures = 0
-    for _ in range(10_000):
-        z1 = next(stream)
-        z2 = next(stream)
-        m = merge(z1, z2)
-        if not (subsumes(m, z1) and subsumes(m, z2) and m.is_antichain):
-            pair_failures += 1
-    assert pair_failures == 0
-
+    assert sum(not merge_generalizes(z1, z2) for z1, z2 in zip(stream, stream)) == 0
     rng = random.Random(1004)
-    triple_stream = random_asds(2004, 20_000)
-    triple_failures = 0
-    for _ in range(10_000):
-        z1 = next(triple_stream)
-        z2 = next(triple_stream)
-        # w's entities are subsets of pairwise intersections, so w subsumes
-        # both sides by construction without invoking the merge logic
-        entities = []
-        for _ in range(rng.randint(1, 3)):
-            both = rng.choice(z1.entities) & rng.choice(z2.entities)
-            entities.append(both & rng.getrandbits(12))
-        w = ASD(tuple(entities))
-        assert subsumes(w, z1) and subsumes(w, z2)
-        if not subsumes(w, merge(z1, z2)):
-            triple_failures += 1
-    assert triple_failures == 0
+    stream = random_asds(2004, 20_000)
+    assert sum(not merge_is_most_specific(common_generalization(rng, z1, z2), z1, z2)
+               for z1, z2 in zip(stream, stream)) == 0
     print("criterion 4 PASS: 10000 pairs + 10000 triples, 0 failures")
 
 
@@ -171,7 +139,6 @@ def test_criterion_5_rule_soundness_and_completeness(clevr):
 def test_criterion_6_greedy_coverage_bound():
     """Greedy coverage reaches ceil((1 - 1/e) * OPT) on 200 random instances."""
     rng = random.Random(1006)
-    budget = OracleBudget(max_candidates=12)
     violations = 0
     for _ in range(200):
         n_sets = rng.randint(1, 12)
@@ -179,12 +146,7 @@ def test_criterion_6_greedy_coverage_bound():
         cov = [frozenset(rng.sample(range(n_points),
                                     rng.randint(0, min(7, n_points))))
                for _ in range(n_sets)]
-        k = rng.randint(1, 4)
-        picks = greedy_cover(cov, k=k)
-        achieved = len(set().union(*(cov[i] for i in picks))) if picks else 0
-        opt = oracle_coverage_opt(cov, k, budget=budget)
-        if achieved < math.ceil((1 - 1 / math.e) * opt):
-            violations += 1
+        violations += not greedy_meets_bound(cov, rng.randint(1, 4))
     assert violations == 0
     print("criterion 6 PASS: 200/200 instances meet the (1 - 1/e) bound")
 
@@ -194,13 +156,7 @@ def test_criterion_7_similarity_properties():
     Both the symmetry and the identity are exact: ``0.5*x + 0.5*y`` is
     commutative in IEEE arithmetic, and identical descriptions score 1.0."""
     stream = random_asds(1007, 20_000)
-    for _ in range(10_000):
-        a = next(stream)
-        b = next(stream)
-        forward = similarity(a, b)
-        assert forward == similarity(b, a)
-        assert 0.0 <= forward <= 1.0
-        assert similarity(a, a) == 1.0
+    assert sum(not similarity_props(a, b) for a, b in zip(stream, stream)) == 0
     print("criterion 7 PASS: 10000 pairs symmetric, bounded, identity-exact")
 
 

