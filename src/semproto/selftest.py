@@ -1,10 +1,26 @@
 """One predicate per core property, and the batteries that run them.
 
-Each predicate says whether one case of a property holds.  The acceptance
-criteria, the batteries below and the hypothesis tests all call the same
-predicate, each with its own source of cases.  The ``selftest`` subcommand
-runs the batteries: each is a deterministic stream of random cases, and it
-counts the cases that fail.
+Each predicate says whether one case of a property holds:
+
+- ``similarity_props``: similarity is symmetric, in [0, 1], and exactly 1.0
+  on itself.
+- ``merge_generalizes``: merge subsumes both inputs and is an antichain.
+- ``merge_is_most_specific``: every common generalization subsumes merge.
+- ``merge_is_canonical``: trim keeps the reference trim's set, and merge is
+  the canonical description of the reference trim of the entity products.
+- ``edit_matches_oracle``: the edit distance solver equals the exhaustive
+  oracle.
+- ``greedy_meets_bound``: greedy coverage is within (1 - 1/e) of the optimum.
+- ``mining_matches_scalar``: ``mine_ccds`` finds what the plain scalar
+  greedy traces find, with sound and complete coverage.
+- ``ranker_matches_scalar``: the batched ranker's rows equal ``similarity``
+  and ``subsumes`` bit for bit, whatever the batch and the memo hold.
+
+The batteries below and the hypothesis tests call the same predicate, each
+with its own source of cases, and so do the acceptance criteria for the
+five properties they check (all but the merge canonical form, mining and
+the ranker).  The ``selftest`` subcommand runs the batteries: each is a
+deterministic stream of random cases, and it counts the cases that fail.
 """
 from __future__ import annotations
 
@@ -49,6 +65,21 @@ def merge_is_most_specific(w: ASD, z1: ASD, z2: ASD) -> bool:
     return subsumes(w, z1) and subsumes(w, z2) and subsumes(w, merge(z1, z2))
 
 
+def merge_is_canonical(xs: Sequence[int], ys: Sequence[int]) -> bool:
+    """trim(xs) keeps the set of oracle_trim(xs), each entity once; merge of
+    the two descriptions is, entity for entity, the description of the
+    reference trim of their entity products, and is marked as its own trim;
+    and each input's is_antichain agrees with trim."""
+    kept = trim(xs)
+    a, b = ASD(tuple(xs)), ASD(tuple(ys))
+    m = merge(a, b)
+    expected = ASD(oracle_trim(x & y for x in a.entities for y in b.entities))
+    return (set(kept) == set(oracle_trim(xs)) and len(kept) == len(set(kept))
+            and m.entities == expected.entities and m.__dict__.get("trimmed") is m
+            and all(d.is_antichain == (len(trim(d.entities)) == len(d.entities))
+                    for d in (a, b)))
+
+
 def common_generalization(rng: random.Random, z1: ASD, z2: ASD) -> ASD:
     """A description that subsumes z1 and z2 by construction, without merge:
     one to three entities, each the intersection of an entity of z1 and one
@@ -74,6 +105,41 @@ def greedy_meets_bound(coverages: Sequence[frozenset], k: int) -> bool:
     return achieved >= math.ceil((1.0 - 1.0 / math.e) * optimal)
 
 
+def mining_matches_scalar(positives: Sequence[Sample], negatives: Sequence[Sample],
+                          samples: Sequence[Sample]) -> bool:
+    """mine_ccds over an index of ``samples``, in the order given, finds the
+    descriptions of scalar_mine's plain traces; each coverage equals a
+    subsumes scan of the positives, no candidate describes a negative, and
+    the coverages together hold every positive."""
+    mined = mine_ccds(positives, NegativeAttributeIndex(samples))
+    return ([c.asd for c in mined] == scalar_mine(positives, negatives)
+            and all(c.coverage == {p.id for p in positives if subsumes(c.asd, p.asd)}
+                    and not any(subsumes(c.asd, n.asd) for n in negatives) for c in mined)
+            and frozenset().union(*(c.coverage for c in mined)) == {p.id for p in positives})
+
+
+def ranker_matches_scalar(positives: Sequence[ASD], batches: Sequence[Sequence[ASD]]) -> bool:
+    """One SimilarityRanker scores the batches in order, so later batches
+    read rows its memo already holds.  Each score row equals similarity bit
+    for bit and each containment row equals subsumes, and both match, byte
+    for byte, a fresh ranker's rows for that batch and for each reference
+    scored alone."""
+    warm = SimilarityRanker(positives)
+    for batch in batches:
+        rows, described = warm.scores(batch)
+        fresh = SimilarityRanker(positives).scores(batch)
+        if [rows.tobytes(), described.tobytes()] != [a.tobytes() for a in fresh]:
+            return False
+        for reference, row, covers in zip(batch, rows, described):
+            if ([x.hex() for x in row.tolist()]
+                    != [similarity(reference, p).hex() for p in positives]
+                    or covers.tolist() != [subsumes(reference, p) for p in positives]
+                    or [a.tobytes() for a in SimilarityRanker(positives).scores([reference])]
+                    != [row.tobytes(), covers.tobytes()]):
+                return False
+    return True
+
+
 # ----------------------------------------------------------------------------
 # batteries
 # ----------------------------------------------------------------------------
@@ -92,27 +158,18 @@ def battery_merge_most_specific(cases: int, seed: int) -> Battery:
 
 
 def battery_merge_canonical(cases: int, seed: int) -> Battery:
-    """merge(a, b) is the canonical description of the reference trim of
-    its entity products and is marked as its own trim, and trim keeps the
-    reference's set; entities overlap often, over 15 to 300 attributes,
-    and some descriptions hold the empty entity."""
+    """Entities overlap often, over 15 to 300 attributes, and some
+    descriptions hold the empty entity."""
     rng = random.Random(seed)
     failures = 0
     for _ in range(cases):
         width = rng.choice((15, 64, 65, 300))
         pool = rng.sample(range(width), min(width, 8))
 
-        def description() -> ASD:
-            entities = [sum(1 << a for a in rng.sample(pool, rng.randint(0, 5)))
-                        for _ in range(rng.randint(1, 5))]
-            return ASD(tuple(entities))
-        a, b = description(), description()
-        products = [x & y for x in a.entities for y in b.entities]
-        reference = oracle_trim(products)
-        m = merge(a, b)
-        if (m != ASD(reference) or m.__dict__.get("trimmed") is not m
-                or set(trim(products)) != set(reference)):
-            failures += 1
+        def entities() -> list[int]:
+            return [sum(1 << a for a in rng.sample(pool, rng.randint(0, 5)))
+                    for _ in range(rng.randint(1, 5))]
+        failures += not merge_is_canonical(entities(), entities())
     return ("merge-canonical", cases, failures)
 
 
@@ -147,9 +204,8 @@ def battery_greedy_coverage(cases: int, seed: int) -> Battery:
 
 
 def battery_mining_traces(cases: int, seed: int) -> Battery:
-    """mine_ccds, with its index, ranker, twins sharing one frontier entry
-    and trace memo, finds the candidates of the plain scalar traces; some
-    positives have twins."""
+    """Up to 12 positives over 8 or 70 attributes, and every third of them
+    again as a twin under another id."""
     rng = random.Random(seed)
     failures = 0
     for _ in range(cases):
@@ -160,19 +216,15 @@ def battery_mining_traces(cases: int, seed: int) -> Battery:
         positives += [Sample(p.id + "-twin", "pos", p.asd) for p in positives[::3]]
         negatives = [Sample(f"n{i:02d}", "neg", a) for i, a in enumerate(asds[n_pos:])
                      if not any(subsumes(p.asd, a) for p in positives)]
-        index = NegativeAttributeIndex([*positives, *negatives])
-        if [c.asd for c in mine_ccds(positives, index)] != scalar_mine(positives, negatives):
-            failures += 1
+        failures += not mining_matches_scalar(positives, negatives, [*positives, *negatives])
     return ("mining-scalar-traces", cases, failures)
 
 
 def battery_ranker_batches(cases: int, seed: int) -> Battery:
-    """Each row of a batched SimilarityRanker.scores call equals the scalar
-    similarity bit for bit, each row of the containment table it returns
-    equals subsumes, and the same rows come back when a fresh ranker scores
-    the reference alone, so a row does not depend on its batch; references
-    of different entity counts share a batch, some hold the empty entity,
-    and entities are sparse or dense, over one to five words."""
+    """References of different entity counts share a batch, some hold the
+    empty entity, and entities are sparse or dense, over one to five words;
+    the same references, reversed, make a second batch that the memo
+    already holds."""
     rng = random.Random(seed)
     failures = 0
     for _ in range(cases):
@@ -184,14 +236,7 @@ def battery_ranker_batches(cases: int, seed: int) -> Battery:
         pool = asds + [merge(rng.choice(asds), rng.choice(asds)) for _ in range(4)]
         pool += [ASD((0,)), ASD((rng.choice(asds).entities[0],))]
         references = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
-        ranker = SimilarityRanker(asds)
-        rows, described = ranker.scores(references)
-        if any(row.tolist() != [similarity(reference, a) for a in asds]
-               or covers.tolist() != [subsumes(reference, a) for a in asds]
-               or [alone.tobytes() for alone in SimilarityRanker(asds).scores([reference])]
-               != [row.tobytes(), covers.tobytes()]
-               for reference, row, covers in zip(references, rows, described)):
-            failures += 1
+        failures += not ranker_matches_scalar(asds, [references, references[::-1]])
     return ("ranker-batches", cases, failures)
 
 

@@ -894,18 +894,41 @@ def test_selftest_command(capsys):
                                               for name in SELFTEST_BATTERIES)
 
 
-def test_selftest_fails_the_battery_of_a_broken_operation(monkeypatch, capsys):
-    """A greedy_cover that picks nothing fails the coverage-bound battery
-    alone, and selftest exits 3."""
+@pytest.mark.parametrize("battery", ["merge-canonical", "greedy-coverage-bound",
+                                     "mining-scalar-traces", "ranker-batches"])
+def test_selftest_fails_the_battery_of_a_broken_operation(battery, monkeypatch, capsys):
+    """One broken operation fails its own battery alone, and selftest exits
+    3: a merge not marked as its own trim, a greedy_cover that picks
+    nothing, first choices that break score ties toward the highest
+    position, and a ranker memo whose padding row lies inside nothing."""
+    import numpy as np
+    import semproto.ranker
     import semproto.selftest
-    monkeypatch.setattr(semproto.selftest, "greedy_cover", lambda coverages, k=None: [])
+    from semproto import ASD, merge
+
+    def firsts_to_the_highest(scores, flags):
+        masked = np.where(flags, scores, -1.0)[:, ::-1]
+        return masked.shape[1] - 1 - masked.argmax(axis=1)
+
+    class PaddingInsideNothing(semproto.ranker.SimilarityRanker):
+        def _clear(self):
+            super()._clear()
+            self._inside[0] = False
+
+    module, attribute, broken = {
+        "merge-canonical": (semproto.selftest, "merge", lambda a, b: ASD(merge(a, b).entities)),
+        "greedy-coverage-bound": (semproto.selftest, "greedy_cover",
+                                  lambda coverages, k=None: []),
+        "mining-scalar-traces": (semproto.ranker, "_firsts", firsts_to_the_highest),
+        "ranker-batches": (semproto.selftest, "SimilarityRanker", PaddingInsideNothing),
+    }[battery]
+    monkeypatch.setattr(module, attribute, broken)
     assert main(["selftest", "--budget", "5"]) == EXIT_INTERNAL
     lines = capsys.readouterr().out.splitlines()
-    failed = SELFTEST_BATTERIES.index("greedy-coverage-bound")
-    assert re.fullmatch(r"FAIL greedy-coverage-bound \(5 cases, [1-5] failures\)", lines[failed])
+    failed = SELFTEST_BATTERIES.index(battery)
+    assert re.fullmatch(rf"FAIL {battery} \(5 cases, [1-5] failures\)", lines[failed])
     assert lines[:failed] + lines[failed + 1:] == [
-        f"PASS {name} (5 cases, 0 failures)" for name in SELFTEST_BATTERIES if
-        name != "greedy-coverage-bound"]
+        f"PASS {name} (5 cases, 0 failures)" for name in SELFTEST_BATTERIES if name != battery]
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

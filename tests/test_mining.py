@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semproto import (
@@ -34,7 +34,7 @@ from semproto.cli import EXIT_INTERNAL, main
 from semproto.pipeline import _UnionFilter
 from semproto.ranker import SimilarityRanker
 from semproto.oracle import scalar_mine
-from semproto.selftest import battery_greedy_coverage, battery_ranker_batches
+from semproto.selftest import mining_matches_scalar, ranker_matches_scalar
 
 
 def mk_samples(vocab, label, named_asds):
@@ -199,68 +199,6 @@ def random_instance(seed, n_pos=8, n_neg=6):
     return positives, negatives
 
 
-def test_mined_rules_are_sound_and_complete():
-    for seed in range(30):
-        positives, negatives = random_instance(seed)
-        out = mine(positives, negatives)
-        covered = set()
-        for ccd in out:
-            for n in negatives:
-                assert not subsumes(ccd.asd, n.asd)
-            recomputed = {p.id for p in positives if subsumes(ccd.asd, p.asd)}
-            assert recomputed == ccd.coverage
-            covered |= ccd.coverage
-        assert covered == {p.id for p in positives}
-
-
-def test_seed_dedupe_does_not_change_results():
-    """mine_ccds folds twins into one frontier entry per description;
-    scalar_mine traces every seed, twins included."""
-    v = Vocabulary()
-    positives = mk_samples(v, "pos", [
-        ("p1", [["A", "B"]]),
-        ("p2", [["A", "B"]]),  # exact twin of p1
-        ("p3", [["A", "C"]]),
-    ])
-    negatives = mk_samples(v, "neg", [("n1", [["D"]])])
-    assert [c.asd for c in mine(positives, negatives)] == scalar_mine(positives,
-                                                                      negatives)
-    for seed in range(10):
-        positives, negatives = random_instance(seed)
-        positives += [Sample(p.id + "-twin", "pos", p.asd) for p in positives[::2]]
-        assert [c.asd for c in mine(positives, negatives)] == scalar_mine(
-            positives, negatives)
-
-
-def parallel_cases():
-    """Mining inputs: random instances, the same with twin
-    descriptions listed last under lower ids (so input order and id order
-    differ), and one with two distinct seeds."""
-    for seed in (0, 1):
-        positives, negatives = random_instance(seed, n_pos=10, n_neg=5)
-        yield positives, negatives
-        twins = [Sample("o" + p.id[1:], "pos", p.asd) for p in positives[::3]]
-        yield positives + twins, negatives
-    v = Vocabulary()
-    yield (mk_samples(v, "pos", [("p1", [["A", "B"]]), ("p2", [["A", "C"]]),
-                                 ("p0", [["A", "B"]])]),
-           mk_samples(v, "neg", [("n1", [["D"]])]))
-
-
-def test_parallel_mining_matches_serial():
-    """Mining matches the scalar traces, also against a dataset-wide index
-    whose sample order is unrelated to the ids."""
-    for case, (positives, negatives) in enumerate(parallel_cases()):
-        expected = scalar_mine(positives, negatives)
-        serial = mine(positives, negatives)
-        assert [c.asd for c in serial] == expected
-        # a dataset-wide index whose sample order is unrelated to the ids
-        samples = [*positives, *negatives]
-        random.Random(case).shuffle(samples)
-        index = NegativeAttributeIndex(samples)
-        assert mine_ccds(positives, index) == serial
-
-
 # ---------------------------------------------------------------------------
 # similarity ordering: the vectorized ranker against asd.similarity
 # ---------------------------------------------------------------------------
@@ -313,28 +251,14 @@ def visit_order(scores, flags):
     return orders
 
 
-@given(ranker_inputs())
-@settings(max_examples=300)
-def test_ranker_scores_equal_scalar_similarity(case):
-    positives, references = case
-    ranker = SimilarityRanker(positives)
-    everyone = np.ones((1, len(positives)), dtype=bool)
-    for reference in references:
-        [scores], _ = ranker.scores([reference])
-        expected = [similarity(reference, asd) for asd in positives]
-        assert scores.tolist() == expected
-        [order] = visit_order(scores[None], everyone)
-        assert order == scalar_ranking(reference, positives, range(len(positives)))
-
-
 @given(ranker_inputs(), st.data())
 @settings(max_examples=200)
 def test_sort_by_similarity_matches_scalar_sort(case, data):
     """_trace's visit order (a masked argmax over a whole batch for the
     first choice, then a stable ranking of the rest) is the scalar ranking
     of the positions left to visit, over any flags.  Every draw holds twins,
-    so scores tie exactly, and one row with no position left, which is
-    visited nowhere."""
+    so scores tie exactly, one row with every position left, and one with
+    none, which is visited nowhere."""
     positives, references = case
     twins = data.draw(st.lists(st.sampled_from(range(len(positives))), min_size=1,
                                max_size=4))
@@ -344,7 +268,8 @@ def test_sort_by_similarity_matches_scalar_sort(case, data):
     flags = np.array([data.draw(st.lists(st.booleans(), min_size=len(positives),
                                          max_size=len(positives)))
                       for _ in references], dtype=bool)
-    flags[data.draw(st.sampled_from(range(len(references))))] = False
+    full, empty = data.draw(st.permutations(range(len(references))))[:2]
+    flags[full], flags[empty] = True, False
     for reference, remaining, order in zip(references, flags, visit_order(scores, flags)):
         kept = np.flatnonzero(remaining).tolist()
         assert order == scalar_ranking(reference, positives, kept)
@@ -414,71 +339,26 @@ def test_ranker_rejects_empty_and_foreign_descriptions():
 
 @given(ranker_inputs(), st.data())
 @settings(max_examples=300)
-def test_batched_scores_equal_scalar_similarity_bit_for_bit(case, data):
-    """Each row of one batched call equals asd.similarity to the last bit,
-    and a reference's row holds the same bytes alone or in any batch, so
-    padding to the batch's widest reference changes nothing."""
-    positives, references = case
-    ranker = SimilarityRanker(positives)
-    rows, _ = ranker.scores(references)
-    assert rows.shape == (len(references), len(positives))
-    for reference, row in zip(references, rows):
-        assert [x.hex() for x in row.tolist()] == [similarity(reference, asd).hex()
-                                                   for asd in positives]
-        assert ranker.scores([reference])[0].tobytes() == row.tobytes()
-    batch = data.draw(st.lists(st.sampled_from(range(len(references))), min_size=1,
-                               max_size=12))
-    for i, row in zip(batch, ranker.scores([references[i] for i in batch])[0]):
-        assert row.tobytes() == rows[i].tobytes()
-
-
-@given(ranker_inputs(), st.data())
-@settings(max_examples=300)
-def test_ranker_containment_equals_subsumes(case, data):
-    """Each cell of the containment table that scores returns is
-    asd.subsumes of its reference and positive, for the lone empty entity
-    and merges that hold it too, and a reference's row is the same alone or
-    in any batch."""
-    positives, references = case
-    ranker = SimilarityRanker(positives)
-    _, described = ranker.scores(references)
-    assert described.shape == (len(references), len(positives))
-    for reference, row in zip(references, described.tolist()):
-        assert row == [subsumes(reference, asd) for asd in positives]
-        assert ranker.scores([reference])[1].tolist() == [row]
-    batch = data.draw(st.lists(st.sampled_from(range(len(references))), min_size=1,
-                               max_size=12))
-    for i, row in zip(batch, ranker.scores([references[i] for i in batch])[1]):
-        assert row.tolist() == described[i].tolist()
-
-
-@given(ranker_inputs(), st.data())
-@settings(max_examples=300)
 def test_memo_rows_equal_fresh_rows(case, data):
     """One ranker scores every reference twice, in a shuffled sequence of
-    batches, so later batches read rows its memo already holds.  Each batch's
-    rows equal, bit for bit, those of a fresh ranker scoring that batch
-    alone, asd.similarity and asd.subsumes; the references include the lone
-    empty entity and merges that hold it."""
+    batches, so later batches read rows its memo already holds and a batch
+    may hold a reference twice; every row is the scalar one, as the
+    predicate checks.  The memo keeps one row per distinct entity."""
     positives, references = case
     sequence = data.draw(st.permutations(references + references))
     cuts = sorted(data.draw(st.sets(st.integers(1, len(sequence) - 1), max_size=6)))
+    batches = [sequence[start:stop] for start, stop in zip([0, *cuts], [*cuts, len(sequence)])]
     warm = SimilarityRanker(positives)
-    for start, stop in zip([0, *cuts], [*cuts, len(sequence)]):
-        batch = sequence[start:stop]
-        rows, described = warm.scores(batch)
-        fresh_rows, fresh_described = SimilarityRanker(positives).scores(batch)
-        assert rows.tobytes() == fresh_rows.tobytes()
-        assert described.tobytes() == fresh_described.tobytes()
-        for reference, row, covers in zip(batch, rows.tolist(), described.tolist()):
-            assert [x.hex() for x in row] == [similarity(reference, asd).hex()
-                                              for asd in positives]
-            assert covers == [subsumes(reference, asd) for asd in positives]
+    scored = [(reference, row.tolist(), covers.tolist()) for batch in batches
+              for reference, row, covers in zip(batch, *warm.scores(batch))]
     assert len(warm._row) == len({e for r in references for e in r.entities})
-
-
-def test_ranker_batches_battery():
-    assert battery_ranker_batches(300, 0) == ("ranker-batches", 300, 0)
+    assert ranker_matches_scalar(positives, batches), next(
+        ((reference, [x.hex() for x in row], [similarity(reference, p).hex() for p in positives],
+          covers, [subsumes(reference, p) for p in positives])
+         for reference, row, covers in scored
+         if [x.hex() for x in row] != [similarity(reference, p).hex() for p in positives]
+         or covers != [subsumes(reference, p) for p in positives]),
+        "every row is the scalar one, but a fresh ranker's rows differ")
 
 
 @given(ranker_inputs(), st.sampled_from([1, 40, 200, 1 << 16]))
@@ -537,18 +417,6 @@ def test_batches_bound_the_ranking_memory(monkeypatch, batch_cap):
     assert cleared == (batch_cap < 1 << 16)
 
 
-@given(st.integers(0, 10_000), st.sampled_from([8, 70]))
-@settings(max_examples=60)
-def test_mining_matches_scalar_traces(seed, vocab_size):
-    stream = list(random_asds(seed, 18, max_entities=3, max_entity_size=3,
-                              vocab_size=vocab_size))
-    positives = [Sample(f"p{i:02d}", "pos", a) for i, a in enumerate(stream[:12])]
-    negatives = [Sample(f"n{i:02d}", "neg", a) for i, a in enumerate(stream[12:])
-                 if not any(subsumes(p.asd, a) for p in positives)]
-    assert [c.asd for c in mine(positives, negatives)] == scalar_mine(positives,
-                                                                      negatives)
-
-
 @st.composite
 def mining_inputs(draw):
     """One class against one or two others over a vocabulary of 8, 64, 65 or
@@ -580,20 +448,53 @@ def mining_inputs(draw):
     return positives, negatives, samples, draw(st.permutations(positives))
 
 
-@given(mining_inputs())
-@settings(max_examples=200, deadline=None)
-def test_memoized_mining_matches_scalar_mine(case):
-    """The trace memo and the bulk skip of described positives change no
-    candidate, and neither does the order the positives are passed in."""
+@st.composite
+def seeded_mining_inputs(draw):
+    """Twelve positives and up to six negatives from one random_asds stream
+    over 8 or 70 ids, with the negatives a positive describes dropped; in
+    about half the draws every other positive has a twin, whose id sorts
+    right after it.  As for mining_inputs, every sample in an order
+    unrelated to the ids, and the positives in another order.  All but the
+    seed and the vocabulary come from the seed, so each example tries a
+    new stream."""
+    seed = draw(st.integers(0, 10_000))
+    stream = list(random_asds(seed, 18, max_entities=3, max_entity_size=3,
+                              vocab_size=draw(st.sampled_from([8, 70]))))
+    rng = random.Random(seed)
+    positives = [Sample(f"p{i:02d}", "pos", a) for i, a in enumerate(stream[:12])]
+    if rng.random() < 0.5:
+        positives += [Sample(p.id + "-twin", "pos", p.asd) for p in positives[::2]]
+    negatives = [Sample(f"n{i:02d}", "neg", a) for i, a in enumerate(stream[12:])
+                 if not any(subsumes(p.asd, a) for p in positives)]
+    samples, shuffled = positives + negatives, list(positives)
+    rng.shuffle(samples)
+    rng.shuffle(shuffled)
+    return positives, negatives, samples, shuffled
+
+
+def listed_case(positives, negatives):
+    """A mining case of (id, entity id sets) pairs: the samples in the
+    order listed, and the positives reversed."""
+    positives = [Sample(sid, "pos", ASD.from_id_sets(sets)) for sid, sets in positives]
+    negatives = [Sample(sid, "neg", ASD.from_id_sets(sets)) for sid, sets in negatives]
+    return positives, negatives, positives + negatives, positives[::-1]
+
+
+@given(st.one_of(mining_inputs(), seeded_mining_inputs()))
+# twins: one listed second, one listed last under the lowest id
+@example(listed_case([("p1", [[0, 1]]), ("p2", [[0, 1]]), ("p3", [[0, 2]])], [("n1", [[3]])]))
+@example(listed_case([("p1", [[0, 1]]), ("p2", [[0, 2]]), ("p0", [[0, 1]])], [("n1", [[3]])]))
+@settings(max_examples=320, deadline=None)
+def test_mining_matches_scalar_mine(case):
+    """The ranker, the index, the twins' shared frontier entry, the trace
+    memo and the bulk skip of described positives change no candidate, and
+    neither does the order the positives are passed in."""
     positives, negatives, samples, shuffled = case
-    expected = scalar_mine(positives, negatives)
-    serial = mine(positives, negatives)
-    assert [c.asd for c in serial] == expected
-    for ccd in serial:
-        assert ccd.coverage == {p.id for p in positives if subsumes(ccd.asd, p.asd)}
     index = NegativeAttributeIndex(samples)
-    assert mine_ccds(positives, index) == serial
-    assert mine_ccds(shuffled, index) == serial
+    assert mining_matches_scalar(positives, negatives, samples), (
+        [(c.asd.entities, sorted(c.coverage)) for c in mine_ccds(positives, index)],
+        [d.entities for d in scalar_mine(positives, negatives)])
+    assert mine_ccds(shuffled, index) == mine_ccds(positives, index)
 
 
 @given(mining_inputs(), st.sampled_from([1, 60, 400]))
@@ -869,19 +770,6 @@ def test_soundness_recheck_catches_a_broken_index(tmp_path, monkeypatch, capsys)
     assert sorted(tmp_path.iterdir()) == [data]
 
 
-@given(st.integers(0, 500))
-@settings(max_examples=120)
-def test_index_agrees_with_naive_scan(seed):
-    stream = list(random_asds(seed, 9, max_entities=3, max_entity_size=3, vocab_size=8))
-    negatives = [Sample(f"n{i}", "neg", a) for i, a in enumerate(stream[:6])]
-    index = NegativeAttributeIndex(negatives)
-    for candidate in stream[6:]:
-        naive = next((n.id for n in negatives if subsumes(candidate, n.asd)), None)
-        via_index = index.first_described(candidate)
-        assert via_index == naive
-        assert check_ccd(candidate, negatives) == (naive is None)
-
-
 def test_index_empty_negatives():
     index = NegativeAttributeIndex([])
     assert index.first_described(ASD.from_id_sets([[0]])) is None
@@ -918,8 +806,16 @@ def labelled_sets(draw):
 @given(labelled_sets())
 @settings(max_examples=300)
 def test_dataset_index_matches_naive_scan(case):
+    """The index, unmasked (every sample a negative) and through each
+    class's view, finds the first described negative of a naive scan, and
+    mining with it gives the same results as with an index of the class's
+    positives and negatives alone."""
     samples, candidates = case
     index = NegativeAttributeIndex(samples)
+    for candidate in candidates:
+        naive = next((s.id for s in samples if subsumes(candidate, s.asd)), None)
+        assert index.first_described(candidate) == naive
+        assert check_ccd(candidate, samples) == (naive is None)
     for label in sorted({s.label for s in samples}):
         positives = [s for s in samples if s.label == label]
         negatives = [s for s in samples if s.label != label]
@@ -1101,7 +997,3 @@ def test_select_ccds_cumulative_annotations():
     assert uncovered == []
     assert [s.newly_covered for s in steps] == [3, 1]
     assert [s.cumulative_covered for s in steps] == [3, 4]
-
-
-def test_greedy_meets_approximation_bound():
-    assert battery_greedy_coverage(200, 0) == ("greedy-coverage-bound", 200, 0)
