@@ -239,6 +239,22 @@ def test_trim_and_merge_match_the_canonical_reference(lists):
         [(d.is_antichain, trim(d.entities)) for d in (a, b)])
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ([[0], [0, 1], [0, 1], [2]], [[0, 1, 2]]),
+    ([[], [1]], [[1, 2], []]),
+    ([[]], [[]]),
+    ([[0], [1]], [[2], [3]]),
+    ([[0, 1], [1, 2], [0, 2]], [[0, 1, 2], [1]]),
+    ([[63, 64], [64], [299], [0, 63, 64, 299]], [[63, 64, 299], [0, 64]]),
+], ids=["nested-and-repeated", "empty-entity", "only-empty", "disjoint-products",
+        "equal-sizes-nest-in-the-merge", "bits-across-words"])
+def test_trim_and_merge_match_the_canonical_reference_on_listed_cases(xs, ys):
+    """Cases that the drawn lists reach only now and then."""
+    xs, ys = [entity_from_ids(e) for e in xs], [entity_from_ids(e) for e in ys]
+    assert merge_is_canonical(xs, ys), (
+        trim(xs), oracle_trim(xs), merge(ASD(tuple(xs)), ASD(tuple(ys))).entities)
+
+
 def test_trimmed_returns_self_on_antichains():
     asd = ASD.from_id_sets([[0, 1], [2]])
     assert asd.trimmed is asd

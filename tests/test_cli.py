@@ -894,14 +894,19 @@ def test_selftest_command(capsys):
                                               for name in SELFTEST_BATTERIES)
 
 
-@pytest.mark.parametrize("battery", ["merge-canonical", "greedy-coverage-bound",
-                                     "mining-scalar-traces", "ranker-batches"])
+@pytest.mark.parametrize("battery", ["merge-canonical", "edit-distance-oracle",
+                                     "greedy-coverage-bound", "mining-scalar-traces",
+                                     "ranker-batches"])
 def test_selftest_fails_the_battery_of_a_broken_operation(battery, monkeypatch, capsys):
     """One broken operation fails its own battery alone, and selftest exits
-    3: a merge not marked as its own trim, a greedy_cover that picks
-    nothing, first choices that break score ties toward the highest
+    3: a merge not marked as its own trim, an edit distance one insertion
+    too high when unmatched entities cost nothing, a greedy_cover that
+    picks nothing, first choices that break score ties toward the highest
     position, and a ranker memo whose padding row lies inside nothing."""
+    import dataclasses
+
     import numpy as np
+    import semproto.prototypes
     import semproto.ranker
     import semproto.selftest
     from semproto import ASD, merge
@@ -915,8 +920,13 @@ def test_selftest_fails_the_battery_of_a_broken_operation(battery, monkeypatch, 
             super()._clear()
             self._inside[0] = False
 
+    def one_too_many_when_zero(rule, sample, unmatched_cost):
+        solved = semproto.prototypes.edit_distance(rule, sample, unmatched_cost)
+        return dataclasses.replace(solved, total=solved.total + (unmatched_cost == "zero"))
+
     module, attribute, broken = {
         "merge-canonical": (semproto.selftest, "merge", lambda a, b: ASD(merge(a, b).entities)),
+        "edit-distance-oracle": (semproto.selftest, "edit_distance", one_too_many_when_zero),
         "greedy-coverage-bound": (semproto.selftest, "greedy_cover",
                                   lambda coverages, k=None: []),
         "mining-scalar-traces": (semproto.ranker, "_firsts", firsts_to_the_highest),

@@ -349,16 +349,45 @@ def test_memo_rows_equal_fresh_rows(case, data):
     cuts = sorted(data.draw(st.sets(st.integers(1, len(sequence) - 1), max_size=6)))
     batches = [sequence[start:stop] for start, stop in zip([0, *cuts], [*cuts, len(sequence)])]
     warm = SimilarityRanker(positives)
+    for batch in batches:
+        warm.scores(batch)
+    assert len(warm._row) == len({e for r in references for e in r.entities})
+    assert ranker_matches_scalar(positives, batches), first_scalar_mismatch(positives, batches)
+
+
+def first_scalar_mismatch(positives, batches):
+    """The first row that one ranker, scoring the batches in order, gives
+    unlike similarity or subsumes: the reference, the row and the scalar
+    row as .hex() values, and both containment rows."""
+    warm = SimilarityRanker(positives)
     scored = [(reference, row.tolist(), covers.tolist()) for batch in batches
               for reference, row, covers in zip(batch, *warm.scores(batch))]
-    assert len(warm._row) == len({e for r in references for e in r.entities})
-    assert ranker_matches_scalar(positives, batches), next(
+    return next(
         ((reference, [x.hex() for x in row], [similarity(reference, p).hex() for p in positives],
           covers, [subsumes(reference, p) for p in positives])
          for reference, row, covers in scored
          if [x.hex() for x in row] != [similarity(reference, p).hex() for p in positives]
          or covers != [subsumes(reference, p) for p in positives]),
         "every row is the scalar one, but a fresh ranker's rows differ")
+
+
+@pytest.mark.parametrize("name", ["mixed-entity-counts", "empty-entities",
+                                  "memo-grows-between-batches", "bits-across-words"])
+def test_memo_rows_equal_fresh_rows_on_listed_cases(name):
+    """References of one to three entities in one batch, so the shorter ones
+    read the padding row; the empty entity alone and beside another; merges
+    that grow the memo, then rows kept before it grew; ids on both sides of
+    the word boundaries."""
+    a = ASD.from_id_sets
+    positives = [a([[0, 1], [2, 3, 4]]), a([[1, 2]]), a([[5], [0, 5, 6]]), a([[63, 64, 299]])]
+    batches = {
+        "mixed-entity-counts": [[a([[0], [1, 2, 6], [3, 4, 5]]), a([[0, 1]]), positives[0]]],
+        "empty-entities": [[ASD((0,)), a([[], [1, 2]])], [ASD((0,))]],
+        "memo-grows-between-batches": [positives, [merge(positives[0], p) for p in positives[1:3]],
+                                       [a([[0, 5, 6]]), *positives]],
+        "bits-across-words": [[a([[63, 64, 128]]), a([[0], [127, 128], [299]])], [a([[64]])]],
+    }[name]
+    assert ranker_matches_scalar(positives, batches), first_scalar_mismatch(positives, batches)
 
 
 @given(ranker_inputs(), st.sampled_from([1, 40, 200, 1 << 16]))
@@ -489,12 +518,29 @@ def test_mining_matches_scalar_mine(case):
     """The ranker, the index, the twins' shared frontier entry, the trace
     memo and the bulk skip of described positives change no candidate, and
     neither does the order the positives are passed in."""
+    check_mining_case(case)
+
+
+def check_mining_case(case):
     positives, negatives, samples, shuffled = case
     index = NegativeAttributeIndex(samples)
     assert mining_matches_scalar(positives, negatives, samples), (
         [(c.asd.entities, sorted(c.coverage)) for c in mine_ccds(positives, index)],
         [d.entities for d in scalar_mine(positives, negatives)])
     assert mine_ccds(shuffled, index) == mine_ccds(positives, index)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["listed", "reversed"])
+@pytest.mark.parametrize("positives", [
+    [("p1", [[0, 1, 2]]), ("p2", [[0, 1, 3]]), ("p3", [[2, 6, 7]])],
+    [("p1", [[0, 1, 2]]), ("p2", [[0, 1, 3]]), ("p3", [[0, 1, 4, 5]]), ("p4", [[2, 6, 7]])],
+], ids=["one-left-after-a-rejection", "two-left-after-a-rejection"])
+def test_mining_matches_scalar_mine_when_the_last_ranked_positive_decides(positives, reverse):
+    """p1's first choice p2 is rejected, since [[0, 1]] describes n1, and
+    p1's trace accepts a merge only with the positive ranked last of those
+    left; drawn inputs reach such a case only now and then."""
+    check_mining_case(listed_case(positives[::-1] if reverse else positives,
+                                  [("n1", [[0, 1, 9]])]))
 
 
 @given(mining_inputs(), st.sampled_from([1, 60, 400]))
